@@ -24,6 +24,10 @@ int main() {
 
   const Graph g = rmat_graph<IT, VT>(scale, 16.0);
   const auto input = tricount_prepare(g);
+  // One Engine with L bound once; each (threads, scheme) point gets an
+  // untimed warm-up, so the timed repetitions run the warm planned kernel.
+  Engine engine;
+  const BoundMatrix<IT, VT> l = engine.bind(input.l);
 
   std::printf("# Figure 11: Triangle Counting strong scaling, R-MAT scale %d "
               "(edge factor 16), GFLOPS\n", scale);
@@ -36,9 +40,11 @@ int main() {
     set_threads(t);
     std::printf("%-9d", t);
     for (Scheme s : schemes) {
+      (void)triangle_count(input, s, engine, &l);
       double best = std::numeric_limits<double>::infinity();
       for (int r = 0; r < reps(); ++r) {
-        best = std::min(best, triangle_count(input, s).spgemm_seconds);
+        best = std::min(best,
+                        triangle_count(input, s, engine, &l).spgemm_seconds);
       }
       std::printf(" %12.3f",
                   2.0 * static_cast<double>(input.flops) / best / 1e9);

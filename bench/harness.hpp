@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dispatch.hpp"
 #include "core/engine.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"

@@ -1,6 +1,6 @@
 // Plan/execute amortization study: repeated application runs with a
-// persistent Engine (the facade over the plan cache) vs per-call
-// (planless) execution.
+// persistent Engine (the facade over the plan cache) vs cold per-call
+// execution on a fresh Engine per repetition (the `planless_s` column).
 //
 // The ROADMAP's north-star scenario is a service answering many masked
 // multiplies over mostly-stable operands; its unit economics are visible
@@ -74,7 +74,8 @@ int main() {
   const auto tri_input = tricount_prepare(g);
   for (Scheme s : schemes) {
     const Run planless = repeat(repetitions, [&] {
-      return triangle_count(tri_input, s).plan_stats;
+      Engine fresh;
+      return triangle_count(tri_input, s, fresh).plan_stats;
     });
     Engine engine;
     const BoundMatrix<IT, VT> l = engine.bind(tri_input.l);
@@ -85,8 +86,10 @@ int main() {
   }
 
   for (Scheme s : schemes) {
-    const Run planless =
-        repeat(repetitions, [&] { return ktruss(g, 5, s).plan_stats; });
+    const Run planless = repeat(repetitions, [&] {
+      Engine fresh;
+      return ktruss(g, 5, s, fresh).plan_stats;
+    });
     Engine engine;
     const Run planned = repeat(
         repetitions, [&] { return ktruss(g, 5, s, engine).plan_stats; });
@@ -95,7 +98,8 @@ int main() {
 
   for (Scheme s : schemes) {
     const Run planless = repeat(repetitions, [&] {
-      return betweenness_centrality_batch(g, bc_batch, s).plan_stats;
+      Engine fresh;
+      return betweenness_centrality_batch(g, bc_batch, s, fresh).plan_stats;
     });
     Engine engine;
     const Run planned = repeat(repetitions, [&] {

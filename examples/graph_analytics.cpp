@@ -37,21 +37,22 @@ int main(int argc, char** argv) {
   for (msp::TricountVariant v :
        {msp::TricountVariant::kBurkhardt, msp::TricountVariant::kCohen,
         msp::TricountVariant::kSandiaLL, msp::TricountVariant::kSandiaUU}) {
-    const auto r = msp::triangle_count_variant(g, v, msp::Scheme::kMsa1P);
+    const auto r =
+        msp::triangle_count_variant(g, v, msp::Scheme::kMsa1P, engine);
     std::printf(" %s=%lld", msp::tricount_variant_name(v),
                 static_cast<long long>(r.triangles));
   }
   std::printf("\n");
 
   // Clustering coefficients.
-  const auto cl = msp::clustering_coefficients(g, msp::Scheme::kHash1P,
-                                               &engine);
+  const auto cl =
+      msp::clustering_coefficients(g, msp::Scheme::kHash1P, engine);
   std::printf("avg clustering:    %.4f\n", cl.average_coefficient);
 
   // Multi-source BFS (complemented-mask Masked SpGEMM) from 4 sources.
   const std::vector<IT> sources = {0, 1, 2, 3};
   const auto bfs =
-      msp::multi_source_bfs(g, sources, msp::Scheme::kMsa1P, &engine);
+      msp::multi_source_bfs(g, sources, msp::Scheme::kMsa1P, engine);
   std::printf("BFS depth:         %d levels from %zu sources (%.6f s in "
               "Masked SpGEMM)\n",
               bfs.depth, sources.size(), bfs.spgemm_seconds);

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/dispatch.hpp"
 #include "core/engine.hpp"
 #include "core/tiled_engine.hpp"
 #include "matrix/convert.hpp"
@@ -69,20 +68,18 @@ CsrMatrix<IT, VT> backward_seed(const CsrMatrix<IT, VT>& frontier,
   return t;
 }
 
-/// One two-stage BC implementation for both entry points: only the
-/// multiplies differ — Engine plan-then-execute with the adjacency held
-/// as a BoundMatrix handle (fingerprinted once per call) vs the genuinely
-/// planless run_scheme path (null engine; the zero-state baseline the
-/// plan-amortization bench compares against).
-/// `tiled` (with `shards`/`store`) opts the expansions into the sharded
-/// path: each multiply splits its frontier rows into row blocks and runs
+/// One two-stage BC implementation for both entry points: every multiply
+/// runs plan-then-execute through `engine` with the adjacency held as a
+/// BoundMatrix handle (fingerprinted once per call). `tiled` (with
+/// `shards`/`store`) opts the expansions into the sharded path: each
+/// multiply splits its frontier rows into row blocks and runs
 /// shard-by-shard through the TiledEngine — same results, bounded
-/// per-multiply resident frontier. Requires a non-null `engine` (the
-/// tiled engine's own).
+/// per-multiply resident frontier. `engine` is then the tiled engine's
+/// own.
 template <class IT, class VT>
 BcResult<IT> bc_impl(const CsrMatrix<IT, VT>& adj,
                      const std::vector<IT>& sources, Scheme scheme,
-                     Engine* engine, TiledEngine* tiled = nullptr,
+                     Engine& engine, TiledEngine* tiled = nullptr,
                      int shards = 1, ShardStore* store = nullptr) {
   if (adj.nrows != adj.ncols) {
     throw invalid_argument_error("betweenness_centrality: square matrix required");
@@ -96,17 +93,13 @@ BcResult<IT> bc_impl(const CsrMatrix<IT, VT>& adj,
 
   // BC is an unweighted-BFS algorithm: only the adjacency *pattern* is
   // meaningful. Normalize stored values to 1 so plus-times counts paths.
-  // The pattern is fixed for the whole call — on the engine path, bind it
-  // once so every level reuses its fingerprint, flops rows, and (for
-  // Inner) transpose cache.
+  // The pattern is fixed for the whole call — bind it once so every
+  // level reuses its fingerprint, flops rows, and (for Inner) transpose
+  // cache.
   const CsrMatrix<IT, VT> a = to_pattern(adj);
-  BoundMatrix<IT, VT> a_bound;
-  if (engine != nullptr) a_bound = engine->bind(a);
+  const BoundMatrix<IT, VT> a_bound = engine.bind(a);
   const auto expand = [&](const CsrMatrix<IT, VT>& left,
                           const CsrMatrix<IT, VT>& mask, MaskKind kind) {
-    if (engine == nullptr) {
-      return run_scheme<PlusTimes<VT>>(scheme, left, a, mask, kind);
-    }
     MaskedSpgemmStats stats;
     CsrMatrix<IT, VT> out;
     if (tiled != nullptr) {
@@ -118,7 +111,7 @@ BcResult<IT> bc_impl(const CsrMatrix<IT, VT>& adj,
                                            MaskSemantics::kStructural, &stats,
                                            &a_bound);
     } else {
-      out = engine->multiply_scheme<PlusTimes<VT>>(
+      out = engine.multiply_scheme<PlusTimes<VT>>(
           scheme, left, a, mask, kind, MaskSemantics::kStructural, &stats,
           nullptr, &a_bound);
     }
@@ -196,7 +189,7 @@ template <class IT, class VT>
 BcResult<IT> betweenness_centrality(const CsrMatrix<IT, VT>& adj,
                                     const std::vector<IT>& sources,
                                     Scheme scheme, Engine& engine) {
-  return detail::bc_impl(adj, sources, scheme, &engine);
+  return detail::bc_impl(adj, sources, scheme, engine);
 }
 
 /// Opt-in sharded BC: every forward/backward expansion splits its frontier
@@ -211,23 +204,8 @@ BcResult<IT> betweenness_centrality_sharded(const CsrMatrix<IT, VT>& adj,
                                             Scheme scheme, TiledEngine& tiled,
                                             int shards,
                                             ShardStore* store = nullptr) {
-  return detail::bc_impl(adj, sources, scheme, &tiled.engine(), &tiled,
+  return detail::bc_impl(adj, sources, scheme, tiled.engine(), &tiled,
                          shards, store);
-}
-
-/// DEPRECATED shim — prefer the Engine overload. A non-null `ctx` forwards
-/// through a non-owning Engine; a null one runs the genuinely planless
-/// zero-state path, level by level.
-template <class IT, class VT>
-BcResult<IT> betweenness_centrality(const CsrMatrix<IT, VT>& adj,
-                                    const std::vector<IT>& sources,
-                                    Scheme scheme = Scheme::kMsa1P,
-                                    ExecutionContext* ctx = nullptr) {
-  if (ctx != nullptr) {
-    Engine engine(*ctx);
-    return detail::bc_impl(adj, sources, scheme, &engine);
-  }
-  return detail::bc_impl<IT, VT>(adj, sources, scheme, nullptr);
 }
 
 /// One BC/BFS forward step under N per-query constraint masks: for every
@@ -250,43 +228,8 @@ std::vector<CsrMatrix<IT, VT>> frontier_expansion_batch(
                                               MaskKind::kComplement);
 }
 
-/// DEPRECATED shim — prefer the Engine overload. Without a context the
-/// masks are processed sequentially through the planless path.
-template <class IT, class VT>
-std::vector<CsrMatrix<IT, VT>> frontier_expansion_batch(
-    const CsrMatrix<IT, VT>& frontier, const CsrMatrix<IT, VT>& adj,
-    const std::vector<const CsrMatrix<IT, VT>*>& visited_masks,
-    Scheme scheme = Scheme::kMsa1P, ExecutionContext* ctx = nullptr) {
-  require_scheme_supports(scheme, MaskKind::kComplement);
-  if (ctx != nullptr) {
-    Engine engine(*ctx);
-    return frontier_expansion_batch(frontier, adj, visited_masks, scheme,
-                                    engine);
-  }
-  std::vector<CsrMatrix<IT, VT>> outs;
-  outs.reserve(visited_masks.size());
-  for (const CsrMatrix<IT, VT>* v : visited_masks) {
-    outs.push_back(run_scheme<PlusTimes<VT>>(scheme, frontier, adj, *v,
-                                             MaskKind::kComplement));
-  }
-  return outs;
-}
-
 /// Batch over the first min(batch_size, n) vertices — the benchmark setup
 /// (paper uses batches of 512 sources).
-template <class IT, class VT>
-BcResult<IT> betweenness_centrality_batch(const CsrMatrix<IT, VT>& adj,
-                                          IT batch_size,
-                                          Scheme scheme = Scheme::kMsa1P,
-                                          ExecutionContext* ctx = nullptr) {
-  std::vector<IT> sources;
-  const IT b = std::min(batch_size, adj.nrows);
-  sources.reserve(static_cast<std::size_t>(b));
-  for (IT s = 0; s < b; ++s) sources.push_back(s);
-  return betweenness_centrality(adj, sources, scheme, ctx);
-}
-
-/// Engine overload of the batch convenience entry.
 template <class IT, class VT>
 BcResult<IT> betweenness_centrality_batch(const CsrMatrix<IT, VT>& adj,
                                           IT batch_size, Scheme scheme,

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/dispatch.hpp"
 #include "core/engine.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/ops.hpp"
@@ -29,16 +28,14 @@ struct BfsResult {
   double spgemm_seconds = 0.0;  ///< time in the masked multiplies
 };
 
-/// Multi-source BFS from `sources` on a symmetric adjacency matrix. With a
-/// non-null `engine` every expansion runs through the Engine facade with
-/// the adjacency pattern held as a BoundMatrix handle (fingerprinted once
-/// per call, plans cached across levels and across repeated calls);
-/// without one each level runs the planless zero-state path.
+/// Multi-source BFS from `sources` on a symmetric adjacency matrix. Every
+/// expansion runs through the Engine facade with the adjacency pattern
+/// held as a BoundMatrix handle (fingerprinted once per call, plans cached
+/// across levels and across repeated calls).
 template <class IT, class VT>
 BfsResult<IT> multi_source_bfs(const CsrMatrix<IT, VT>& adj,
-                               const std::vector<IT>& sources,
-                               Scheme scheme = Scheme::kMsa1P,
-                               Engine* engine = nullptr) {
+                               const std::vector<IT>& sources, Scheme scheme,
+                               Engine& engine) {
   if (adj.nrows != adj.ncols) {
     throw invalid_argument_error("multi_source_bfs: square matrix required");
   }
@@ -51,8 +48,7 @@ BfsResult<IT> multi_source_bfs(const CsrMatrix<IT, VT>& adj,
   if (batch == 0 || n == 0) return result;
 
   const CsrMatrix<IT, VT> a = to_pattern(adj);
-  BoundMatrix<IT, VT> a_bound;
-  if (engine != nullptr) a_bound = engine->bind(a);
+  const BoundMatrix<IT, VT> a_bound = engine.bind(a);
   CooMatrix<IT, VT> f0(batch, n);
   for (IT s = 0; s < batch; ++s) {
     const IT src = sources[static_cast<std::size_t>(s)];
@@ -70,13 +66,9 @@ BfsResult<IT> multi_source_bfs(const CsrMatrix<IT, VT>& adj,
   while (frontier.nnz() > 0) {
     ++depth;
     Timer timer;
-    CsrMatrix<IT, VT> next =
-        engine != nullptr
-            ? engine->multiply_scheme<PlusPair<VT>>(
-                  scheme, frontier, a, visited, MaskKind::kComplement,
-                  MaskSemantics::kStructural, nullptr, nullptr, &a_bound)
-            : run_scheme<PlusPair<VT>>(scheme, frontier, a, visited,
-                                       MaskKind::kComplement);
+    CsrMatrix<IT, VT> next = engine.multiply_scheme<PlusPair<VT>>(
+        scheme, frontier, a, visited, MaskKind::kComplement,
+        MaskSemantics::kStructural, nullptr, nullptr, &a_bound);
     result.spgemm_seconds += timer.seconds();
     if (next.nnz() == 0) break;
     for (IT s = 0; s < batch; ++s) {

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/dispatch.hpp"
 #include "core/engine.hpp"
 #include "matrix/ops.hpp"
 #include "semiring/semiring.hpp"
@@ -24,14 +23,12 @@ struct ClusteringResult {
 };
 
 /// Compute per-vertex triangle participation and clustering coefficients.
-/// `adj` must be a symmetric simple adjacency matrix. With a non-null
-/// `engine` the masked product T = A ⊙ (A·A) runs through the Engine
-/// facade (plan cached, so repeated calls over the same graph amortize);
-/// without one it runs the planless zero-state path.
+/// `adj` must be a symmetric simple adjacency matrix. The masked product
+/// T = A ⊙ (A·A) runs through the Engine facade (plan cached, so repeated
+/// calls over the same graph amortize).
 template <class IT, class VT>
 ClusteringResult<IT> clustering_coefficients(const CsrMatrix<IT, VT>& adj,
-                                             Scheme scheme = Scheme::kMsa1P,
-                                             Engine* engine = nullptr) {
+                                             Scheme scheme, Engine& engine) {
   if (adj.nrows != adj.ncols) {
     throw invalid_argument_error("clustering_coefficients: square required");
   }
@@ -43,9 +40,7 @@ ClusteringResult<IT> clustering_coefficients(const CsrMatrix<IT, VT>& adj,
 
   const CsrMatrix<IT, VT> a = to_pattern(adj);
   const CsrMatrix<IT, VT> t =
-      engine != nullptr
-          ? engine->multiply_scheme<PlusPair<VT>>(scheme, a, a, a)
-          : run_scheme<PlusPair<VT>>(scheme, a, a, a);
+      engine.multiply_scheme<PlusPair<VT>>(scheme, a, a, a);
 
   double coeff_sum = 0.0;
   std::int64_t eligible = 0;

@@ -7,7 +7,7 @@
 // support < k-2, and repeats until a fixpoint. The paper reports total flops
 // over all Masked SpGEMM calls divided by their total time (with k = 5).
 //
-// The primary entry point runs every multiply through the `msp::Engine`
+// The entry point runs every multiply through the `msp::Engine`
 // facade: per-thread kernel scratch persists across iterations, the plan
 // supplies per-row flops (shared with the flops statistic below), and —
 // because an engine outlives one ktruss() call — a *repeated* run over the
@@ -20,9 +20,7 @@
 
 #include <cstdint>
 
-#include "core/dispatch.hpp"
 #include "core/engine.hpp"
-#include "core/flops.hpp"
 #include "matrix/ops.hpp"
 #include "semiring/semiring.hpp"
 #include "util/timer.hpp"
@@ -38,16 +36,14 @@ struct KtrussResult {
   PlanUsageStats plan_stats;    ///< per-multiply setup/symbolic accounting
 };
 
-namespace detail {
-
-/// One peeling loop for both entry points: only the support multiply
-/// differs — Engine plan-then-execute (flops and transpose from the plan)
-/// vs the planless path (explicit flops scan, symmetric-CSC copy prepared
-/// outside the timed region for the Inner schemes).
+/// Compute the k-truss with the given Masked SpGEMM scheme through the
+/// Engine facade: the plan's flops double as the statistic, the plan's
+/// lazily cached transpose serves the Inner schemes. `adj` must be a
+/// symmetric adjacency matrix without self-loops; k must be >= 3.
 template <class IT, class VT>
-KtrussResult<IT, VT> ktruss_impl(const CsrMatrix<IT, VT>& adj, int k,
-                                 Scheme scheme, int max_iterations,
-                                 Engine* engine) {
+KtrussResult<IT, VT> ktruss(const CsrMatrix<IT, VT>& adj, int k,
+                            Scheme scheme, Engine& engine,
+                            int max_iterations = 1000) {
   if (k < 3) throw invalid_argument_error("ktruss: k must be >= 3");
   KtrussResult<IT, VT> result;
   CsrMatrix<IT, VT> c = to_pattern(adj);
@@ -55,32 +51,13 @@ KtrussResult<IT, VT> ktruss_impl(const CsrMatrix<IT, VT>& adj, int k,
 
   for (int iter = 0; iter < max_iterations; ++iter) {
     ++result.iterations;
-    CsrMatrix<IT, VT> support;
-    if (engine != nullptr) {
-      // Plan path: the plan's flops double as the statistic, the plan's
-      // lazily cached transpose serves the Inner schemes — no eager CSC
-      // copy, no separate flops scan.
-      MaskedSpgemmStats stats;
-      Timer timer;
-      support = engine->multiply_scheme<PlusPair<VT>>(
-          scheme, c, c, c, MaskKind::kMask, MaskSemantics::kStructural,
-          &stats);
-      result.spgemm_seconds += timer.seconds();
-      result.flops += stats.total_flops;
-      result.plan_stats.absorb(stats);
-    } else {
-      result.flops += total_flops(c, c);
-      // C is symmetric, so its CSR arrays reinterpreted column-wise are a
-      // valid CSC view — the Inner schemes get their column-major B for
-      // the cost of a copy, not a transpose (outside the timed region).
-      const CscMatrix<IT, VT> c_csc(c.nrows, c.ncols,
-                                    std::vector<IT>(c.rowptr),
-                                    std::vector<IT>(c.colids),
-                                    std::vector<VT>(c.values));
-      Timer timer;
-      support = run_scheme_csc<PlusPair<VT>>(scheme, c, c, c_csc, c);
-      result.spgemm_seconds += timer.seconds();
-    }
+    MaskedSpgemmStats stats;
+    Timer timer;
+    const CsrMatrix<IT, VT> support = engine.multiply_scheme<PlusPair<VT>>(
+        scheme, c, c, c, MaskKind::kMask, MaskSemantics::kStructural, &stats);
+    result.spgemm_seconds += timer.seconds();
+    result.flops += stats.total_flops;
+    result.plan_stats.absorb(stats);
 
     // Keep edges supported by >= k-2 triangles. Edges absent from `support`
     // have zero common neighbours and are dropped implicitly.
@@ -96,35 +73,6 @@ KtrussResult<IT, VT> ktruss_impl(const CsrMatrix<IT, VT>& adj, int k,
   }
   result.truss = std::move(c);
   return result;
-}
-
-}  // namespace detail
-
-/// Compute the k-truss with the given Masked SpGEMM scheme through the
-/// Engine facade. `adj` must be a symmetric adjacency matrix without
-/// self-loops; k must be >= 3.
-template <class IT, class VT>
-KtrussResult<IT, VT> ktruss(const CsrMatrix<IT, VT>& adj, int k,
-                            Scheme scheme, Engine& engine,
-                            int max_iterations = 1000) {
-  return detail::ktruss_impl(adj, k, scheme, max_iterations, &engine);
-}
-
-/// DEPRECATED shim — prefer the Engine overload. With a non-null `ctx`
-/// forwards through a non-owning Engine; without one each iteration runs
-/// the planless path (symmetric C reinterpreted as its own CSC for the
-/// Inner schemes, prepared outside the timed region).
-template <class IT, class VT>
-KtrussResult<IT, VT> ktruss(const CsrMatrix<IT, VT>& adj, int k,
-                            Scheme scheme = Scheme::kMsa1P,
-                            int max_iterations = 1000,
-                            ExecutionContext* ctx = nullptr) {
-  if (ctx != nullptr) {
-    Engine engine(*ctx);
-    return detail::ktruss_impl(adj, k, scheme, max_iterations, &engine);
-  }
-  return detail::ktruss_impl<IT, VT>(adj, k, scheme, max_iterations,
-                                     nullptr);
 }
 
 }  // namespace msp

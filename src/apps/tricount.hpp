@@ -7,16 +7,14 @@
 // the plus-pair semiring, so each output entry counts the wedges closed by
 // that edge. Only the Masked SpGEMM is timed, as in the paper.
 //
-// The primary entry points run through the `msp::Engine` facade; passing a
+// Every entry point runs through the `msp::Engine` facade; passing a
 // pre-bound `BoundMatrix` handle for L additionally skips the per-call
 // pattern fingerprint (the steady-state cost of a service answering
-// repeated counts over one prepared graph). The ExecutionContext*
-// signatures are deprecated shims forwarding to the engine path.
+// repeated counts over one prepared graph).
 #pragma once
 
 #include <cstdint>
 
-#include "core/dispatch.hpp"
 #include "core/engine.hpp"
 #include "core/flops.hpp"
 #include "core/tiled_engine.hpp"
@@ -29,7 +27,6 @@ namespace msp {
 template <class IT, class VT>
 struct TricountInput {
   CsrMatrix<IT, VT> l;       ///< relabeled strictly lower-triangular part
-  CscMatrix<IT, VT> l_csc;   ///< CSC copy for the pull-based Inner schemes
   std::int64_t flops = 0;    ///< flops(L·L), the paper's GFLOPS denominator
 };
 
@@ -37,11 +34,8 @@ struct TricountInput {
 /// `adj` must be a symmetric adjacency matrix without self-loops.
 template <class IT, class VT>
 TricountInput<IT, VT> tricount_prepare(const CsrMatrix<IT, VT>& adj) {
-  const auto perm = degree_order(adj);
-  const CsrMatrix<IT, VT> relabeled = permute_symmetric(adj, perm);
   TricountInput<IT, VT> input;
-  input.l = tril(relabeled);
-  input.l_csc = csr_to_csc(input.l);
+  input.l = tril(permute_symmetric(adj, degree_order(adj)));
   input.flops = total_flops(input.l, input.l);
   return input;
 }
@@ -81,8 +75,8 @@ TricountResult<IT> triangle_count(const TricountInput<IT, VT>& input,
 /// not fit the resident budget) and the masked product L ⊙ (L·L) runs
 /// shard-by-shard through `tiled` — one ShardedMatrix serves as both the
 /// left operand and the aligned mask. The split happens outside the timed
-/// region, like the CSC copy of the planless path; the count is
-/// bit-identical to `triangle_count` with the same scheme.
+/// region; the count is bit-identical to `triangle_count` with the same
+/// scheme.
 template <class IT, class VT>
 TricountResult<IT> triangle_count_sharded(const TricountInput<IT, VT>& input,
                                           Scheme scheme, TiledEngine& tiled,
@@ -102,36 +96,7 @@ TricountResult<IT> triangle_count_sharded(const TricountInput<IT, VT>& input,
   return result;
 }
 
-/// DEPRECATED shim — prefer the Engine overload. With a non-null `ctx`
-/// forwards through a non-owning Engine; without one runs the planless
-/// zero-state path (CSC copy prepared outside the timed region).
-template <class IT, class VT>
-TricountResult<IT> triangle_count(const TricountInput<IT, VT>& input,
-                                  Scheme scheme,
-                                  ExecutionContext* ctx = nullptr) {
-  if (ctx != nullptr) {
-    Engine engine(*ctx);
-    return triangle_count(input, scheme, engine);
-  }
-  TricountResult<IT> result;
-  result.flops = input.flops;
-  Timer timer;
-  const CsrMatrix<IT, VT> c = run_scheme_csc<PlusPair<VT>>(
-      scheme, input.l, input.l, input.l_csc, input.l);
-  result.spgemm_seconds = timer.seconds();
-  result.triangles = static_cast<std::int64_t>(reduce_sum(c));
-  return result;
-}
-
 /// Convenience: prepare + count in one call (tests, examples).
-template <class IT, class VT>
-TricountResult<IT> triangle_count(const CsrMatrix<IT, VT>& adj,
-                                  Scheme scheme = Scheme::kMsa1P,
-                                  ExecutionContext* ctx = nullptr) {
-  return triangle_count(tricount_prepare(adj), scheme, ctx);
-}
-
-/// Convenience engine overload: prepare + count in one call.
 template <class IT, class VT>
 TricountResult<IT> triangle_count(const CsrMatrix<IT, VT>& adj, Scheme scheme,
                                   Engine& engine) {
@@ -161,26 +126,6 @@ std::vector<std::int64_t> triangle_support_batch(
   return support;
 }
 
-/// DEPRECATED shim — prefer the Engine overload. Without a context the
-/// masks are answered sequentially through the planless path.
-template <class IT, class VT>
-std::vector<std::int64_t> triangle_support_batch(
-    const TricountInput<IT, VT>& input,
-    const std::vector<const CsrMatrix<IT, VT>*>& masks,
-    Scheme scheme = Scheme::kMsa1P, ExecutionContext* ctx = nullptr) {
-  if (ctx != nullptr) {
-    Engine engine(*ctx);
-    return triangle_support_batch(input, masks, scheme, engine);
-  }
-  std::vector<std::int64_t> support;
-  support.reserve(masks.size());
-  for (const CsrMatrix<IT, VT>* m : masks) {
-    const auto c = run_scheme<PlusPair<VT>>(scheme, input.l, input.l, *m);
-    support.push_back(static_cast<std::int64_t>(reduce_sum(c)));
-  }
-  return support;
-}
-
 /// The masked-SpGEMM triangle-counting formulations compared by Davis
 /// (HPEC'18, the paper's reference [15]). All compute the same count; they
 /// differ in which triangular part drives the multiplication and therefore
@@ -203,12 +148,13 @@ inline const char* tricount_variant_name(TricountVariant v) {
   return "?";
 }
 
-/// Count triangles with a specific formulation. `adj` must be a symmetric
-/// simple adjacency matrix; vertices are degree-relabeled first, as in §8.2.
+/// Count triangles with a specific formulation through `engine`. `adj`
+/// must be a symmetric simple adjacency matrix; vertices are
+/// degree-relabeled first, as in §8.2.
 template <class IT, class VT>
 TricountResult<IT> triangle_count_variant(const CsrMatrix<IT, VT>& adj,
                                           TricountVariant variant,
-                                          Scheme scheme = Scheme::kMsa1P) {
+                                          Scheme scheme, Engine& engine) {
   const auto perm = degree_order(adj);
   const CsrMatrix<IT, VT> a =
       to_pattern(permute_symmetric(adj, perm));
@@ -220,7 +166,7 @@ TricountResult<IT> triangle_count_variant(const CsrMatrix<IT, VT>& adj,
     case TricountVariant::kBurkhardt: {
       result.flops = total_flops(a, a);
       timer.reset();
-      c = run_scheme<PlusPair<VT>>(scheme, a, a, a);
+      c = engine.multiply_scheme<PlusPair<VT>>(scheme, a, a, a);
       divisor = 6;
       break;
     }
@@ -229,7 +175,7 @@ TricountResult<IT> triangle_count_variant(const CsrMatrix<IT, VT>& adj,
       const CsrMatrix<IT, VT> u = triu(a);
       result.flops = total_flops(l, u);
       timer.reset();
-      c = run_scheme<PlusPair<VT>>(scheme, l, u, a);
+      c = engine.multiply_scheme<PlusPair<VT>>(scheme, l, u, a);
       divisor = 2;
       break;
     }
@@ -237,14 +183,14 @@ TricountResult<IT> triangle_count_variant(const CsrMatrix<IT, VT>& adj,
       const CsrMatrix<IT, VT> l = tril(a);
       result.flops = total_flops(l, l);
       timer.reset();
-      c = run_scheme<PlusPair<VT>>(scheme, l, l, l);
+      c = engine.multiply_scheme<PlusPair<VT>>(scheme, l, l, l);
       break;
     }
     case TricountVariant::kSandiaUU: {
       const CsrMatrix<IT, VT> u = triu(a);
       result.flops = total_flops(u, u);
       timer.reset();
-      c = run_scheme<PlusPair<VT>>(scheme, u, u, u);
+      c = engine.multiply_scheme<PlusPair<VT>>(scheme, u, u, u);
       break;
     }
   }

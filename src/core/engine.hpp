@@ -37,10 +37,8 @@
 //    kernel per flops bin; decisions never change results, only speed.
 //
 // Both the builder and the dyn path produce results bit-identical to the
-// pre-existing `masked_multiply` / `run_scheme` paths — the engine
-// conformance suite (tests/test_engine.cpp) pins all of them to the same
-// baseline. The legacy free functions in core/dispatch.hpp survive as
-// thin deprecated shims forwarding here.
+// planless `masked_multiply` path — the engine conformance suite
+// (tests/test_engine.cpp) pins all of them to the same baseline.
 #pragma once
 
 #include <cstdint>
@@ -129,30 +127,22 @@ class Engine {
  public:
   /// A self-contained engine owning its ExecutionContext. `max_plans`
   /// bounds the plan cache exactly as in ExecutionContext.
-  explicit Engine(std::size_t max_plans = 64)
-      : owned_(std::make_unique<ExecutionContext>(max_plans)),
-        ctx_(owned_.get()) {}
+  explicit Engine(std::size_t max_plans = 64) : ctx_(max_plans) {}
 
-  /// A non-owning view over an external context — how the deprecated
-  /// free-function shims (core/dispatch.hpp) and callers migrating one
-  /// layer at a time route through the facade without moving their
-  /// context's ownership.
-  explicit Engine(ExecutionContext& external) : ctx_(&external) {}
-
-  [[nodiscard]] ExecutionContext& context() { return *ctx_; }
+  [[nodiscard]] ExecutionContext& context() { return ctx_; }
   [[nodiscard]] const ExecutionContext::CacheStats& cache_stats() const {
-    return ctx_->cache_stats();
+    return ctx_.cache_stats();
   }
-  [[nodiscard]] std::size_t plan_count() const { return ctx_->plan_count(); }
+  [[nodiscard]] std::size_t plan_count() const { return ctx_.plan_count(); }
   void clear() {
-    ctx_->clear();
+    ctx_.clear();
     result_cache_.clear();
   }
   /// Cached previous results held for the incremental splice (bounded).
   [[nodiscard]] std::size_t result_cache_size() const {
     return result_cache_.size();
   }
-  void reset_stats() { ctx_->reset_stats(); }
+  void reset_stats() { ctx_.reset_stats(); }
 
   // --- calibrated auto-tuning ----------------------------------------------
 
@@ -177,8 +167,7 @@ class Engine {
   }
 
   /// The active selector: the installed profile, else a one-time lazy
-  /// load of $MSP_TUNE_PROFILE, else null (heuristic kAuto). Exposed so
-  /// layered drivers (TiledEngine) resolve kAuto through the same model.
+  /// load of $MSP_TUNE_PROFILE, else null (heuristic kAuto).
   [[nodiscard]] tuner::TunedSelector* tuned_selector() {
     if (selector_ == nullptr && !env_checked_) {
       env_checked_ = true;
@@ -253,13 +242,12 @@ class Engine {
   // --- typed scheme execution ---------------------------------------------
 
   /// Execute one scheme: C = M ⊙ (A·B) (or complemented). The typed core
-  /// that the builder, multiply_dyn, and the legacy run_scheme shims all
-  /// funnel into. The twelve paper schemes run plan-then-execute through
-  /// the context (hinted with whatever bound-operand state is supplied);
-  /// `kAuto` resolves per call via the flops-density heuristic; the
-  /// SS-style baselines run planless with the valued-semantics reduction
-  /// applied here. Throws unsupported_scheme_error for configurations the
-  /// scheme cannot execute (complemented MCA).
+  /// that the builder and multiply_dyn funnel into. The twelve paper
+  /// schemes run plan-then-execute through the context (hinted with
+  /// whatever bound-operand state is supplied); `kAuto` resolves per call
+  /// (resolve_options); the SS-style baselines run planless
+  /// (run_baseline). Throws unsupported_scheme_error for configurations
+  /// the scheme cannot execute (complemented MCA).
   template <Semiring SR, class IT, class VT, class MT>
   CsrMatrix<IT, VT> multiply_scheme(
       Scheme scheme, const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
@@ -272,17 +260,11 @@ class Engine {
       tuner::TunedSelector* tuner_override = nullptr) {
     require_scheme_supports(scheme, kind);
 
-    // Baselines: planless, mirroring the legacy run_scheme context
-    // overload (stats still receive the flops the iterative apps read).
+    // Baselines: planless (stats still receive the flops the iterative
+    // apps read).
     if (scheme == Scheme::kSsDot || scheme == Scheme::kSsSaxpy) {
       if (stats != nullptr) stats->total_flops = total_flops(a, b);
-      if (semantics == MaskSemantics::kValued) {
-        const CsrMatrix<IT, MT> held = drop_explicit_zeros(m);
-        return scheme == Scheme::kSsDot ? baseline_dot<SR>(a, b, held, kind)
-                                        : baseline_saxpy<SR>(a, b, held, kind);
-      }
-      return scheme == Scheme::kSsDot ? baseline_dot<SR>(a, b, m, kind)
-                                      : baseline_saxpy<SR>(a, b, m, kind);
+      return run_baseline<SR>(scheme, a, b, m, kind, semantics);
     }
 
     // A handle must be bound to the very operand object it accompanies —
@@ -374,7 +356,7 @@ class Engine {
             stats->plan_cache_hit = true;
             stats->symbolic_skipped = true;
           }
-          ctx_->record_splice(0);
+          ctx_.record_splice(0);
           return prev;
         }
         if (dirty_rows * 2 < static_cast<std::size_t>(a.nrows)) {
@@ -406,7 +388,7 @@ class Engine {
             stats->symbolic_skipped = true;
             stats->plan_rows_refreshed += dirty_rows;
           }
-          ctx_->record_splice(dirty_rows);
+          ctx_.record_splice(dirty_rows);
           return out;
         }
         // Too much of the matrix is dirty: the full path below is cheaper
@@ -418,49 +400,23 @@ class Engine {
     opt.mask_kind = kind;
     opt.mask_semantics = semantics;
     opt.stats = stats;
-    // The tuned decision (route table + stats sink for online refinement)
-    // must outlive the multiply below; declared at call scope.
-    tuner::AutoDecision decision;
-    tuner::TunedSelector* sel = nullptr;
-    MaskedSpgemmStats refine_stats;
-    if (scheme == Scheme::kAuto) {
-      sel = tuner_override != nullptr ? tuner_override : tuned_selector();
-      if (sel != nullptr) {
-        // The model wants the per-row flops histogram. Count once and
-        // share the vector with the plan through the hints, so the tuned
-        // path never scans A/B more than the untuned one.
-        std::shared_ptr<const std::vector<std::int64_t>> flops = hints.flops;
-        if (flops == nullptr) {
-          flops = std::make_shared<const std::vector<std::int64_t>>(
-              row_flops(a, b));
-          hints.flops = flops;
-          any_hint = true;
-        }
-        decision = sel->decide(build_flops_histogram(*flops), m.nnz(),
-                               static_cast<std::int64_t>(m.nrows),
-                               static_cast<std::int64_t>(m.ncols), kind);
-        const MaskedSpgemmOptions& resolved = decision.use_table();
-        opt.algorithm = resolved.algorithm;
-        opt.phase = resolved.phase;
-        opt.route_table = resolved.route_table;
-        opt.exact_phase_when_cached = resolved.exact_phase_when_cached;
-        if (opt.stats == nullptr) opt.stats = &refine_stats;
-      } else {
-        std::int64_t flops_total = 0;
-        if (hints.flops != nullptr) {
-          for (std::int64_t f : *hints.flops) flops_total += f;
-        } else {
-          flops_total = total_flops(a, b);
-        }
-        const MaskedSpgemmOptions resolved = auto_scheme_options(
-            flops_total, m.nnz(), kind, static_cast<std::int64_t>(m.nrows),
-            static_cast<std::int64_t>(m.ncols));
-        opt.algorithm = resolved.algorithm;
-        opt.phase = resolved.phase;
-      }
-    } else {
-      scheme_to_options(scheme, opt);
+    if (scheme == Scheme::kAuto && hints.flops == nullptr) {
+      // kAuto reads the per-row flops. Count once and share the vector
+      // with the plan through the hints, so kAuto never scans A/B more
+      // than a fixed scheme does.
+      hints.flops =
+          std::make_shared<const std::vector<std::int64_t>>(row_flops(a, b));
+      any_hint = true;
     }
+    // The tuned decision (route table) and the stats sink for online
+    // refinement must outlive the multiply below; declared at call scope.
+    tuner::AutoDecision decision;
+    MaskedSpgemmStats refine_stats;
+    tuner::TunedSelector* sel = resolve_options(
+        scheme, hints.flops.get(), m.nnz(), static_cast<std::int64_t>(m.nrows),
+        static_cast<std::int64_t>(m.ncols), kind, tuner_override, decision,
+        opt);
+    if (sel != nullptr && opt.stats == nullptr) opt.stats = &refine_stats;
     if (opt.algorithm == MaskedAlgorithm::kInner && b_handle != nullptr &&
         b_handle->bound()) {
       hints.b_csc = b_handle->csc_cache();
@@ -468,8 +424,8 @@ class Engine {
       any_hint = true;
     }
     CsrMatrix<IT, VT> out =
-        ctx_->multiply<SR>(a, b, m, opt, any_hint ? &hints : nullptr);
-    if (sel != nullptr && opt.stats != nullptr) sel->observe(*opt.stats);
+        ctx_.multiply<SR>(a, b, m, opt, any_hint ? &hints : nullptr);
+    if (sel != nullptr) sel->observe(*opt.stats);
     if (splice_eligible) {
       store_result({splice_sig, scheme, kind, semantics, *hints.fa,
                     *hints.fb, *hints.fm, a_handle->dirty_log()->id(),
@@ -492,36 +448,7 @@ class Engine {
       MaskSemantics semantics = MaskSemantics::kStructural,
       MaskedSpgemmStats* stats = nullptr) {
     require_scheme_supports(scheme, kind);
-    MaskedSpgemmOptions opt;
-    opt.mask_kind = kind;
-    opt.mask_semantics = semantics;
-    opt.stats = stats;
-    tuner::AutoDecision decision;  // outlives the batch multiply below
-    if (scheme == Scheme::kAuto) {
-      // One routing decision for the whole batch, from the average mask.
-      std::size_t mask_nnz = 0;
-      for (const CsrMatrix<IT, MT>* m : masks) {
-        if (m != nullptr) mask_nnz += m->nnz();
-      }
-      if (!masks.empty()) mask_nnz /= masks.size();
-      if (tuner::TunedSelector* sel = tuned_selector()) {
-        decision = sel->decide(build_flops_histogram(row_flops(a, b)),
-                               mask_nnz, static_cast<std::int64_t>(a.nrows),
-                               static_cast<std::int64_t>(b.ncols), kind);
-        const MaskedSpgemmOptions& resolved = decision.use_table();
-        opt.algorithm = resolved.algorithm;
-        opt.phase = resolved.phase;
-        opt.route_table = resolved.route_table;
-        opt.exact_phase_when_cached = resolved.exact_phase_when_cached;
-      } else {
-        const MaskedSpgemmOptions resolved = auto_scheme_options(
-            total_flops(a, b), mask_nnz, kind,
-            static_cast<std::int64_t>(a.nrows),
-            static_cast<std::int64_t>(b.ncols));
-        opt.algorithm = resolved.algorithm;
-        opt.phase = resolved.phase;
-      }
-    } else if (!scheme_to_options(scheme, opt)) {
+    if (scheme == Scheme::kSsDot || scheme == Scheme::kSsSaxpy) {
       std::vector<CsrMatrix<IT, VT>> outs;
       outs.reserve(masks.size());
       for (const CsrMatrix<IT, MT>* m : masks) {
@@ -530,7 +457,27 @@ class Engine {
       }
       return outs;
     }
-    return ctx_->multiply_batch<SR>(a, b, masks, opt);
+    MaskedSpgemmOptions opt;
+    opt.mask_kind = kind;
+    opt.mask_semantics = semantics;
+    opt.stats = stats;
+    // kAuto makes one routing decision for the whole batch, from the
+    // average mask.
+    std::vector<std::int64_t> flops;
+    std::size_t mask_nnz = 0;
+    if (scheme == Scheme::kAuto) {
+      flops = row_flops(a, b);
+      for (const CsrMatrix<IT, MT>* m : masks) {
+        if (m != nullptr) mask_nnz += m->nnz();
+      }
+      if (!masks.empty()) mask_nnz /= masks.size();
+    }
+    tuner::AutoDecision decision;  // outlives the batch multiply below
+    resolve_options(scheme, &flops, mask_nnz,
+                    static_cast<std::int64_t>(a.nrows),
+                    static_cast<std::int64_t>(b.ncols), kind, nullptr,
+                    decision, opt);
+    return ctx_.multiply_batch<SR>(a, b, masks, opt);
   }
 
   // --- type-erased runtime path -------------------------------------------
@@ -634,6 +581,64 @@ class Engine {
     throw invalid_argument_error("multiply_dyn: unknown semiring id");
   }
 
+  friend class TiledEngine;
+
+  /// The one scheme-to-options resolver: fills `opt` for one of the
+  /// twelve planful schemes, or resolves kAuto from the per-row flops of
+  /// A·B (`flops`, read only for kAuto) and the mask's nnz and shape.
+  /// With an active selector (`tuner_override`, else tuned_selector())
+  /// the calibrated model sets the phase, the per-bin route table (held
+  /// in `decision`, which must outlive the multiply) and the warm-plan
+  /// exact-phase upgrade; otherwise the flops-density heuristic decides.
+  /// Returns the selector that decided, or null.
+  tuner::TunedSelector* resolve_options(
+      Scheme scheme, const std::vector<std::int64_t>* flops,
+      std::size_t mask_nnz, std::int64_t nrows, std::int64_t ncols,
+      MaskKind kind, tuner::TunedSelector* tuner_override,
+      tuner::AutoDecision& decision, MaskedSpgemmOptions& opt) {
+    if (scheme != Scheme::kAuto) {
+      scheme_to_options(scheme, opt);
+      return nullptr;
+    }
+    tuner::TunedSelector* sel =
+        tuner_override != nullptr ? tuner_override : tuned_selector();
+    if (sel != nullptr) {
+      decision = sel->decide(build_flops_histogram(*flops), mask_nnz, nrows,
+                             ncols, kind);
+      const MaskedSpgemmOptions& resolved = decision.use_table();
+      opt.algorithm = resolved.algorithm;
+      opt.phase = resolved.phase;
+      opt.route_table = resolved.route_table;
+      opt.exact_phase_when_cached = resolved.exact_phase_when_cached;
+      return sel;
+    }
+    std::int64_t flops_total = 0;
+    for (std::int64_t f : *flops) flops_total += f;
+    const MaskedSpgemmOptions resolved =
+        auto_scheme_options(flops_total, mask_nnz, kind, nrows, ncols);
+    opt.algorithm = resolved.algorithm;
+    opt.phase = resolved.phase;
+    return nullptr;
+  }
+
+  /// The SS:DOT / SS:SAXPY baselines (core/baseline.hpp), planless, with
+  /// valued mask semantics reduced to structural by dropping the mask's
+  /// explicitly stored zeros.
+  template <Semiring SR, class IT, class VT, class MT>
+  static CsrMatrix<IT, VT> run_baseline(Scheme scheme,
+                                        const CsrMatrix<IT, VT>& a,
+                                        const CsrMatrix<IT, VT>& b,
+                                        const CsrMatrix<IT, MT>& m,
+                                        MaskKind kind,
+                                        MaskSemantics semantics) {
+    if (semantics == MaskSemantics::kValued) {
+      return run_baseline<SR>(scheme, a, b, drop_explicit_zeros(m), kind,
+                              MaskSemantics::kStructural);
+    }
+    return scheme == Scheme::kSsDot ? baseline_dot<SR>(a, b, m, kind)
+                                    : baseline_saxpy<SR>(a, b, m, kind);
+  }
+
   // One cached previous result for the incremental splice, keyed by the
   // full multiply configuration (semiring/operand types via `sig`, the
   // scheme, mask kind/semantics, and all three operand fingerprints). The
@@ -681,8 +686,7 @@ class Engine {
     result_cache_.push_back(std::move(e));
   }
 
-  std::unique_ptr<ExecutionContext> owned_;  // null in non-owning mode
-  ExecutionContext* ctx_;
+  ExecutionContext ctx_;
   std::vector<ResultCacheEntry> result_cache_;
 
   // Calibrated kAuto selector (null = heuristic). env_checked_ latches the
@@ -787,8 +791,8 @@ class MultiplyBuilder {
     return with_semiring<S>();
   }
 
-  /// Execute. Bit-identical to ExecutionContext::multiply / run_scheme
-  /// with the equivalent configuration.
+  /// Execute. Bit-identical to ExecutionContext::multiply with the
+  /// equivalent configuration.
   [[nodiscard]] CsrMatrix<IT, VT> run() const {
     return engine_->template multiply_scheme<SR>(
         scheme_, *a_, *b_, *m_, kind_, semantics_, stats_,

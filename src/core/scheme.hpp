@@ -1,8 +1,6 @@
 // The Scheme registry: the paper's 14 evaluated configurations (§8) as a
-// runtime enumeration, plus the capability/decomposition helpers every
-// dispatch layer shares. Split out of core/dispatch.hpp so the Engine
-// facade (core/engine.hpp) and the legacy free-function shims
-// (core/dispatch.hpp) agree on one registry without an include cycle.
+// runtime enumeration, plus the capability/decomposition helpers the
+// Engine facade (core/engine.hpp) resolves schemes with.
 #pragma once
 
 #include <string>
@@ -98,7 +96,7 @@ inline bool scheme_supports_complement(Scheme s) {
   return s != Scheme::kMca1P && s != Scheme::kMca2P;
 }
 
-/// Thrown by every dispatch layer (run_scheme, the Engine builder,
+/// Thrown by every dispatch layer (the Engine builder, TiledEngine,
 /// multiply_dyn) when a scheme is asked to execute a configuration it
 /// cannot support — currently a complemented mask on the MCA schemes. The
 /// offending scheme is carried both in the message and as a field, so

@@ -142,15 +142,27 @@ CsrMatrix<IT, VT> deserialize_shard(const std::byte* data, std::size_t size,
     throw io_error("ShardStore: truncated shard blob: " + what);
   }
   std::memcpy(&h, data, sizeof(h));
+  // The header is untrusted (disk, wire): every count must fit IT, and is
+  // bounded by the payload size by division before any multiply, so a
+  // crafted count can neither truncate nor wrap the byte sizes below.
+  constexpr auto it_max =
+      static_cast<std::uint64_t>(std::numeric_limits<IT>::max());
   if (h.magic != ShardFileHeader{}.magic || h.it_bytes != sizeof(IT) ||
-      h.vt_bytes != sizeof(VT) || h.nrows < 0 || h.ncols < 0) {
+      h.vt_bytes != sizeof(VT) || h.nrows < 0 || h.ncols < 0 ||
+      static_cast<std::uint64_t>(h.nrows) > it_max ||
+      static_cast<std::uint64_t>(h.ncols) > it_max || h.nnz > it_max) {
     throw io_error("ShardStore: malformed shard blob: " + what);
+  }
+  const std::size_t payload = size - sizeof(h);
+  if (static_cast<std::uint64_t>(h.nrows) >= payload / sizeof(IT) ||
+      h.nnz > payload / (sizeof(IT) + sizeof(VT))) {
+    throw io_error("ShardStore: truncated shard blob: " + what);
   }
   const std::size_t rp_bytes =
       (static_cast<std::size_t>(h.nrows) + 1) * sizeof(IT);
   const std::size_t ci_bytes = static_cast<std::size_t>(h.nnz) * sizeof(IT);
   const std::size_t va_bytes = static_cast<std::size_t>(h.nnz) * sizeof(VT);
-  if (size < sizeof(h) + rp_bytes + ci_bytes + va_bytes) {
+  if (payload < rp_bytes + ci_bytes + va_bytes) {
     throw io_error("ShardStore: truncated shard blob: " + what);
   }
   const std::byte* p = data + sizeof(h);

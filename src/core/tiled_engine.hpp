@@ -54,17 +54,11 @@ class TiledEngine {
  public:
   /// A self-contained tiled engine owning its Engine (and therefore its
   /// ExecutionContext / plan cache).
-  explicit TiledEngine(std::size_t max_plans = 64)
-      : owned_(std::make_unique<Engine>(max_plans)), engine_(owned_.get()) {}
+  explicit TiledEngine(std::size_t max_plans = 64) : engine_(max_plans) {}
 
-  /// Wrap an external Engine: the tiled path then shares its plan cache
-  /// and per-thread scratch with the caller's monolithic calls.
-  explicit TiledEngine(Engine& engine) : engine_(&engine) {}
-
-  [[nodiscard]] Engine& engine() { return *engine_; }
-  [[nodiscard]] ExecutionContext& context() { return engine_->context(); }
+  [[nodiscard]] Engine& engine() { return engine_; }
   [[nodiscard]] const ExecutionContext::CacheStats& cache_stats() const {
-    return engine_->cache_stats();
+    return engine_.cache_stats();
   }
 
   /// Prefetch-ahead: while shard k computes, ask the stores to reload
@@ -165,20 +159,10 @@ class TiledEngine {
         m.prefetch(next);
       }
 
-      if (scheme == Scheme::kSsDot || scheme == Scheme::kSsSaxpy) {
-        // SS-style baselines: planless per shard, mirroring the Engine's
-        // monolithic baseline path (including the valued reduction).
+      if (planless) {
         agg.total_flops += total_flops(*as, b);
-        if (valued) {
-          const CsrMatrix<IT, MT> held = drop_explicit_zeros(*ms);
-          parts.push_back(scheme == Scheme::kSsDot
-                              ? baseline_dot<SR>(*as, b, held, kind)
-                              : baseline_saxpy<SR>(*as, b, held, kind));
-        } else {
-          parts.push_back(scheme == Scheme::kSsDot
-                              ? baseline_dot<SR>(*as, b, *ms, kind)
-                              : baseline_saxpy<SR>(*as, b, *ms, kind));
-        }
+        parts.push_back(
+            Engine::run_baseline<SR>(scheme, *as, b, *ms, kind, semantics));
         continue;
       }
 
@@ -192,32 +176,13 @@ class TiledEngine {
       opt.mask_kind = kind;
       opt.mask_semantics = semantics;
       // kAuto resolves per shard — each shard's flops histogram and mask
-      // density get their own phase/routing decision, through the engine's
-      // calibrated selector when one is installed.
+      // density get their own decision, through the same resolver (and
+      // calibrated selector) as the monolithic Engine call.
       tuner::AutoDecision decision;
-      if (scheme == Scheme::kAuto) {
-        if (tuner::TunedSelector* sel = engine_->tuned_selector()) {
-          decision = sel->decide(build_flops_histogram(*hints.flops),
-                                 ms->nnz(),
-                                 static_cast<std::int64_t>(ms->nrows),
-                                 static_cast<std::int64_t>(ms->ncols), kind);
-          const MaskedSpgemmOptions& resolved = decision.use_table();
-          opt.algorithm = resolved.algorithm;
-          opt.phase = resolved.phase;
-          opt.route_table = resolved.route_table;
-        } else {
-          std::int64_t shard_flops = 0;
-          for (std::int64_t f : *hints.flops) shard_flops += f;
-          const MaskedSpgemmOptions resolved = auto_scheme_options(
-              shard_flops, ms->nnz(), kind,
-              static_cast<std::int64_t>(ms->nrows),
-              static_cast<std::int64_t>(ms->ncols));
-          opt.algorithm = resolved.algorithm;
-          opt.phase = resolved.phase;
-        }
-      } else {
-        scheme_to_options(scheme, opt);
-      }
+      engine_.resolve_options(
+          scheme, hints.flops.get(), ms->nnz(),
+          static_cast<std::int64_t>(ms->nrows),
+          static_cast<std::int64_t>(ms->ncols), kind, nullptr, decision, opt);
       if (opt.algorithm == MaskedAlgorithm::kInner) {
         hints.b_csc = bh->csc_cache();
         hints.b_values_version = bh->values_version();
@@ -226,7 +191,7 @@ class TiledEngine {
       MaskedSpgemmStats shard_stats;
       opt.stats = &shard_stats;
       parts.push_back(
-          engine_->context().multiply<SR>(*as, b, *ms, opt, &hints));
+          engine_.context().multiply<SR>(*as, b, *ms, opt, &hints));
       absorb_shard(agg, shard_stats);
     }
 
@@ -240,10 +205,10 @@ class TiledEngine {
       pf_hits1 += st->stats().prefetch_hits;
       pf_wasted1 += st->stats().prefetch_wasted;
     }
-    engine_->context().record_tiled(static_cast<std::size_t>(k),
-                                    spills1 - spills0, reloads1 - reloads0,
-                                    pf_hits1 - pf_hits0,
-                                    pf_wasted1 - pf_wasted0);
+    engine_.context().record_tiled(static_cast<std::size_t>(k),
+                                   spills1 - spills0, reloads1 - reloads0,
+                                   pf_hits1 - pf_hits0,
+                                   pf_wasted1 - pf_wasted0);
     if (stats != nullptr) *stats = agg;
     return stitch_row_blocks(parts, b.ncols);
   }
@@ -301,16 +266,15 @@ class TiledEngine {
   DeltaUpdateResult<IT> update(DeltaMatrix<IT, VT>& dm,
                                BoundMatrix<IT, VT>& handle,
                                std::span<const EdgeUpdate<IT, VT>> edits) {
-    return engine_->update(dm, handle, edits);
+    return engine_.update(dm, handle, edits);
   }
 
   /// Drop the tiled layer's own cache (per-shard flops keyed by split
-  /// fingerprints) along with the wrapped engine's plan cache, scratch,
-  /// and counters. In non-owning mode this clears the shared engine too —
-  /// same semantics as calling Engine::clear() yourself.
+  /// fingerprints) along with the owned engine's plan cache, scratch,
+  /// and counters.
   void clear() {
     flops_cache_.clear();
-    engine_->clear();
+    engine_.clear();
   }
 
   /// Entries currently held by the per-shard flops cache (tests and
@@ -367,8 +331,7 @@ class TiledEngine {
     std::shared_ptr<const std::vector<std::int64_t>> flops;
   };
 
-  std::unique_ptr<Engine> owned_;  // null in non-owning mode
-  Engine* engine_;
+  Engine engine_;
   bool prefetch_ = true;
   std::vector<FlopsEntry> flops_cache_;
 };

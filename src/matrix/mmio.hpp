@@ -3,6 +3,7 @@
 // real/integer/pattern matrices, general/symmetric/skew-symmetric storage.
 #pragma once
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -72,7 +73,11 @@ CooMatrix<IT, VT> read_matrix_market(std::istream& in) {
   if (rows < 0 || cols < 0 || nnz < 0) throw io_error("mmio: bad size line");
 
   CooMatrix<IT, VT> coo(checked_cast<IT>(rows), checked_cast<IT>(cols));
-  coo.entries.reserve(static_cast<std::size_t>(nnz));
+  // The size line is untrusted: reserve at most a bounded prefix and let
+  // push() grow the rest, so a file claiming 10^15 entries fails as
+  // truncated instead of exhausting memory up front.
+  constexpr long long kMaxReserve = 1LL << 20;
+  coo.entries.reserve(static_cast<std::size_t>(std::min(nnz, kMaxReserve)));
   const bool pattern = (field == "pattern");
   const bool skew = (symmetry == "skew-symmetric");
   const bool sym = (symmetry == "symmetric") || skew;

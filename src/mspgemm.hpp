@@ -17,7 +17,6 @@
 #include "core/bound_matrix.hpp"     // IWYU pragma: export
 #include "core/config.hpp"           // IWYU pragma: export
 #include "core/delta_overlay.hpp"    // IWYU pragma: export
-#include "core/dispatch.hpp"         // IWYU pragma: export
 #include "core/engine.hpp"           // IWYU pragma: export
 #include "core/exec_context.hpp"     // IWYU pragma: export
 #include "core/scheme.hpp"           // IWYU pragma: export

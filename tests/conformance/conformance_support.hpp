@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "core/dispatch.hpp"
+#include "core/baseline.hpp"
+#include "core/masked_spgemm.hpp"
+#include "core/scheme.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
 #include "matrix/dense.hpp"

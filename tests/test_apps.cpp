@@ -61,59 +61,66 @@ std::int64_t brute_force_triangles(const CsrMatrix<IT, VT>& adj) {
 }
 
 TEST(Tricount, CompleteGraphs) {
+  Engine engine;
   for (IT n : {3, 4, 5, 8, 12}) {
     const auto kn = complete_graph<IT, VT>(n);
     const std::int64_t expected =
         static_cast<std::int64_t>(n) * (n - 1) * (n - 2) / 6;  // C(n,3)
     for (Scheme s : tc_schemes()) {
-      EXPECT_EQ(triangle_count(kn, s).triangles, expected)
+      EXPECT_EQ(triangle_count(kn, s, engine).triangles, expected)
           << "K" << n << " with " << scheme_name(s);
     }
   }
 }
 
 TEST(Tricount, TriangleFreeGraphs) {
+  Engine engine;
   const std::vector<CsrMatrix<IT, VT>> graphs = {
       cycle_graph<IT, VT>(10), path_graph<IT, VT>(12), star_graph<IT, VT>(9),
       grid_graph<IT, VT>(5, 6), petersen_graph<IT, VT>()};
   for (const auto& g : graphs) {
     for (Scheme s : {Scheme::kMsa1P, Scheme::kHash2P, Scheme::kInner1P,
                      Scheme::kSsSaxpy}) {
-      EXPECT_EQ(triangle_count(g, s).triangles, 0) << scheme_name(s);
+      EXPECT_EQ(triangle_count(g, s, engine).triangles, 0) << scheme_name(s);
     }
   }
 }
 
 TEST(Tricount, BarbellGraph) {
+  Engine engine;
   // Two K5 blocks: 2 * C(5,3) = 20 triangles; the bridge adds none.
   const auto b = barbell_graph<IT, VT>(5);
-  EXPECT_EQ(triangle_count(b, Scheme::kMsa1P).triangles, 20);
+  EXPECT_EQ(triangle_count(b, Scheme::kMsa1P, engine).triangles, 20);
 }
 
 TEST(Tricount, MatchesBruteForceOnRandomGraphs) {
+  Engine engine;
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const auto g = remove_diagonal(
         symmetrize(msp::testing::random_csr<IT, VT>(60, 60, 0.1, seed)));
     const std::int64_t expected = brute_force_triangles(g);
     for (Scheme s : tc_schemes()) {
-      EXPECT_EQ(triangle_count(g, s).triangles, expected)
+      EXPECT_EQ(triangle_count(g, s, engine).triangles, expected)
           << scheme_name(s) << " seed " << seed;
     }
   }
 }
 
 TEST(Tricount, MatchesBruteForceOnRmat) {
+  Engine engine;
   const auto g = rmat_graph<IT, VT>(8, 8.0);
   const std::int64_t expected = brute_force_triangles(g);
   for (Scheme s : {Scheme::kMsa1P, Scheme::kHash1P, Scheme::kMca1P,
                    Scheme::kHeap1P, Scheme::kInner2P}) {
-    EXPECT_EQ(triangle_count(g, s).triangles, expected) << scheme_name(s);
+    EXPECT_EQ(triangle_count(g, s, engine).triangles, expected)
+        << scheme_name(s);
   }
 }
 
 TEST(Tricount, ReportsTimingAndFlops) {
+  Engine engine;
   const auto g = rmat_graph<IT, VT>(7, 8.0);
-  const auto r = triangle_count(g, Scheme::kMsa1P);
+  const auto r = triangle_count(g, Scheme::kMsa1P, engine);
   EXPECT_GE(r.spgemm_seconds, 0.0);
   EXPECT_GT(r.flops, 0);
 }
@@ -122,27 +129,30 @@ TEST(Tricount, ReportsTimingAndFlops) {
 // k-truss
 
 TEST(Ktruss, CompleteGraphIsItsOwnTruss) {
+  Engine engine;
   const auto k6 = complete_graph<IT, VT>(6);
   // K6: every edge supported by 4 triangles, so it is a k-truss for k <= 6.
   for (int k : {3, 4, 5, 6}) {
-    const auto r = ktruss(k6, k);
+    const auto r = ktruss(k6, k, Scheme::kMsa1P, engine);
     EXPECT_EQ(r.truss.nnz(), k6.nnz()) << "k=" << k;
   }
   // k = 7 needs support 5 > 4: everything is pruned.
-  EXPECT_EQ(ktruss(k6, 7).truss.nnz(), 0u);
+  EXPECT_EQ(ktruss(k6, 7, Scheme::kMsa1P, engine).truss.nnz(), 0u);
 }
 
 TEST(Ktruss, TriangleFreeGraphVanishesAtK3) {
+  Engine engine;
   const auto g = grid_graph<IT, VT>(4, 5);
-  const auto r = ktruss(g, 3);
+  const auto r = ktruss(g, 3, Scheme::kMsa1P, engine);
   EXPECT_EQ(r.truss.nnz(), 0u);
 }
 
 TEST(Ktruss, BarbellBridgeIsPruned) {
+  Engine engine;
   // Each K5 survives as a 5-truss; the bridge edge is in no triangle and
   // must be pruned immediately.
   const auto b = barbell_graph<IT, VT>(5);
-  const auto r = ktruss(b, 5);
+  const auto r = ktruss(b, 5, Scheme::kMsa1P, engine);
   EXPECT_EQ(r.truss.nnz(), 2u * 20u);  // two K5 blocks, 20 nnz each
   for (IT i = 0; i < r.truss.nrows; ++i) {
     for (IT p = r.truss.rowptr[i]; p < r.truss.rowptr[i + 1]; ++p) {
@@ -153,6 +163,7 @@ TEST(Ktruss, BarbellBridgeIsPruned) {
 }
 
 TEST(Ktruss, CascadingPrune) {
+  Engine engine;
   // A triangle strip: pruning weak edges cascades. Build K4 plus a pendant
   // triangle sharing one vertex; for k=4 only the K4 survives.
   CooMatrix<IT, VT> coo(6, 6);
@@ -167,31 +178,34 @@ TEST(Ktruss, CascadingPrune) {
   edge(3, 5);
   edge(4, 5);
   const auto g = coo_to_csr(std::move(coo));
-  const auto r = ktruss(g, 4);
+  const auto r = ktruss(g, 4, Scheme::kMsa1P, engine);
   EXPECT_EQ(r.truss.nnz(), 12u);  // the K4 only (6 undirected edges)
 }
 
 TEST(Ktruss, AllSchemesAgree) {
+  Engine engine;
   const auto g = rmat_graph<IT, VT>(7, 10.0);
-  const auto reference = ktruss(g, 5, Scheme::kMsa1P);
+  const auto reference = ktruss(g, 5, Scheme::kMsa1P, engine);
   for (Scheme s : tc_schemes()) {
-    const auto r = ktruss(g, 5, s);
+    const auto r = ktruss(g, 5, s, engine);
     EXPECT_EQ(r.truss, reference.truss) << scheme_name(s);
     EXPECT_EQ(r.iterations, reference.iterations) << scheme_name(s);
   }
 }
 
 TEST(Ktruss, InvalidKThrows) {
+  Engine engine;
   const auto g = complete_graph<IT, VT>(4);
-  EXPECT_THROW(ktruss(g, 2), invalid_argument_error);
+  EXPECT_THROW(ktruss(g, 2, Scheme::kMsa1P, engine), invalid_argument_error);
 }
 
 TEST(Ktruss, TrussIsStableUnderRecomputation) {
+  Engine engine;
   // Applying k-truss to its own output must be a fixpoint in 1 iteration.
   const auto g = rmat_graph<IT, VT>(7, 8.0);
-  const auto r1 = ktruss(g, 5);
+  const auto r1 = ktruss(g, 5, Scheme::kMsa1P, engine);
   if (r1.truss.nnz() == 0) GTEST_SKIP() << "truss empty at this scale";
-  const auto r2 = ktruss(r1.truss, 5);
+  const auto r2 = ktruss(r1.truss, 5, Scheme::kMsa1P, engine);
   EXPECT_EQ(r2.truss, r1.truss);
   EXPECT_EQ(r2.iterations, 1);
 }
@@ -244,7 +258,8 @@ std::vector<double> brandes_reference(const CsrMatrix<IT, VT>& adj,
 void expect_bc_matches(const CsrMatrix<IT, VT>& adj,
                        const std::vector<IT>& sources, Scheme scheme) {
   const auto expected = brandes_reference(adj, sources);
-  const auto result = betweenness_centrality(adj, sources, scheme);
+  Engine engine;
+  const auto result = betweenness_centrality(adj, sources, scheme, engine);
   ASSERT_EQ(result.centrality.size(), expected.size());
   for (std::size_t v = 0; v < expected.size(); ++v) {
     EXPECT_NEAR(result.centrality[v], expected[v], 1e-9)
@@ -253,12 +268,13 @@ void expect_bc_matches(const CsrMatrix<IT, VT>& adj,
 }
 
 TEST(Bc, PathGraphClosedForm) {
+  Engine engine;
   // On P_n, interior vertex i lies on all s<i<t pairs: bc(i) = 2*i*(n-1-i).
   const IT n = 7;
   const auto g = path_graph<IT, VT>(n);
   std::vector<IT> sources(n);
   std::iota(sources.begin(), sources.end(), 0);
-  const auto r = betweenness_centrality(g, sources, Scheme::kMsa1P);
+  const auto r = betweenness_centrality(g, sources, Scheme::kMsa1P, engine);
   for (IT i = 0; i < n; ++i) {
     const double expected = 2.0 * i * (n - 1 - i);
     EXPECT_NEAR(r.centrality[i], expected, 1e-9) << "vertex " << i;
@@ -266,13 +282,14 @@ TEST(Bc, PathGraphClosedForm) {
 }
 
 TEST(Bc, StarGraphHubDominates) {
+  Engine engine;
   // Hub of S_n lies on every leaf-to-leaf shortest path:
   // bc(hub) = (n-1)(n-2) counting both directions; leaves are 0.
   const IT n = 9;
   const auto g = star_graph<IT, VT>(n);
   std::vector<IT> sources(n);
   std::iota(sources.begin(), sources.end(), 0);
-  const auto r = betweenness_centrality(g, sources, Scheme::kMsa1P);
+  const auto r = betweenness_centrality(g, sources, Scheme::kMsa1P, engine);
   EXPECT_NEAR(r.centrality[0], static_cast<double>((n - 1) * (n - 2)), 1e-9);
   for (IT i = 1; i < n; ++i) EXPECT_NEAR(r.centrality[i], 0.0, 1e-9);
 }
@@ -314,39 +331,47 @@ TEST(Bc, DisconnectedGraphHandled) {
 }
 
 TEST(Bc, McaRejected) {
+  Engine engine;
   const auto g = path_graph<IT, VT>(4);
-  EXPECT_THROW(betweenness_centrality(g, {0}, Scheme::kMca1P),
+  EXPECT_THROW(betweenness_centrality(g, {0}, Scheme::kMca1P, engine),
                invalid_argument_error);
 }
 
 TEST(Bc, SourceOutOfRangeThrows) {
+  Engine engine;
   const auto g = path_graph<IT, VT>(4);
-  EXPECT_THROW(betweenness_centrality(g, {9}, Scheme::kMsa1P),
+  EXPECT_THROW(betweenness_centrality(g, {9}, Scheme::kMsa1P, engine),
                invalid_argument_error);
-  EXPECT_THROW(betweenness_centrality(g, {-1}, Scheme::kMsa1P),
+  EXPECT_THROW(betweenness_centrality(g, {-1}, Scheme::kMsa1P, engine),
                invalid_argument_error);
 }
 
 TEST(Bc, EmptyBatch) {
+  Engine engine;
   const auto g = path_graph<IT, VT>(4);
-  const auto r = betweenness_centrality(g, std::vector<IT>{}, Scheme::kMsa1P);
+  const auto r =
+      betweenness_centrality(g, std::vector<IT>{}, Scheme::kMsa1P, engine);
   for (double v : r.centrality) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(Bc, BatchHelperUsesFirstVertices) {
+  Engine engine;
   const auto g = rmat_graph<IT, VT>(6, 6.0);
-  const auto r1 = betweenness_centrality_batch(g, IT{8}, Scheme::kMsa1P);
+  const auto r1 =
+      betweenness_centrality_batch(g, IT{8}, Scheme::kMsa1P, engine);
   std::vector<IT> sources(8);
   std::iota(sources.begin(), sources.end(), 0);
-  const auto r2 = betweenness_centrality(g, sources, Scheme::kMsa1P);
+  const auto r2 = betweenness_centrality(g, sources, Scheme::kMsa1P, engine);
   for (std::size_t v = 0; v < r1.centrality.size(); ++v) {
     EXPECT_DOUBLE_EQ(r1.centrality[v], r2.centrality[v]);
   }
 }
 
 TEST(Bc, ReportsStageTimings) {
+  Engine engine;
   const auto g = rmat_graph<IT, VT>(6, 6.0);
-  const auto r = betweenness_centrality_batch(g, IT{16}, Scheme::kHash1P);
+  const auto r =
+      betweenness_centrality_batch(g, IT{16}, Scheme::kHash1P, engine);
   EXPECT_GE(r.forward_seconds, 0.0);
   EXPECT_GE(r.backward_seconds, 0.0);
   EXPECT_NEAR(r.spgemm_seconds, r.forward_seconds + r.backward_seconds,

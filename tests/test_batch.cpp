@@ -1,5 +1,5 @@
 // Tests for the batched multi-mask API (ExecutionContext::multiply_batch /
-// run_scheme_batch and the app-level batch entries): the batch must be
+// Engine::multiply_batch and the app-level batch entries): the batch must be
 // bit-identical to N sequential multiply() calls across Scheme × mask kind
 // × mask semantics × {int, int64_t}, including aliased and empty masks and
 // mixed warm/cold plans. Plus regression tests for this PR's bugfixes:
@@ -13,7 +13,7 @@
 #include "apps/bc.hpp"
 #include "apps/tricount.hpp"
 #include "conformance/conformance_support.hpp"
-#include "core/dispatch.hpp"
+#include "core/engine.hpp"
 #include "core/exec_context.hpp"
 #include "core/tiled_engine.hpp"
 #include "core/hash_accumulator.hpp"
@@ -31,6 +31,7 @@ using msp::conformance::run_config;
 using msp::conformance::with_explicit_zeros;
 using msp::testing::csr_equal;
 using msp::testing::random_csr;
+using msp::testing::run_fresh;
 
 using SR = PlusTimes<double>;
 
@@ -56,12 +57,11 @@ void sweep_batch_vs_sequential() {
     const auto extra = extra_masks(cse.m);
     const std::vector<const CsrMatrix<IT, double>*> masks = {
         &cse.m, &extra[0], &extra[1], &cse.m};  // last aliases the first
-    ExecutionContext ctx;
+    Engine engine;
     for (const Config& cfg : all_configs()) {
       SCOPED_TRACE(cse.name + "/" + cfg.name());
-      const auto batch = run_scheme_batch<SR>(cfg.scheme, cse.a, cse.b, masks,
-                                              ctx, cfg.kind, nullptr,
-                                              cfg.semantics);
+      const auto batch = engine.multiply_batch<SR>(
+          cfg.scheme, cse.a, cse.b, masks, cfg.kind, cfg.semantics);
       ASSERT_EQ(batch.size(), masks.size());
       for (std::size_t q = 0; q < masks.size(); ++q) {
         const auto expected =
@@ -70,9 +70,8 @@ void sweep_batch_vs_sequential() {
       }
       // Replay: plans, structures, and the batch partition all come from
       // the caches now; results must not change.
-      const auto warm = run_scheme_batch<SR>(cfg.scheme, cse.a, cse.b, masks,
-                                             ctx, cfg.kind, nullptr,
-                                             cfg.semantics);
+      const auto warm = engine.multiply_batch<SR>(
+          cfg.scheme, cse.a, cse.b, masks, cfg.kind, cfg.semantics);
       for (std::size_t q = 0; q < masks.size(); ++q) {
         EXPECT_TRUE(csr_equal(batch[q], warm[q])) << "warm mask " << q;
       }
@@ -493,13 +492,17 @@ TEST(AppBatch, TriangleSupportBatchMatchesSequential) {
 
   for (Scheme s : {Scheme::kMsa1P, Scheme::kHash2P}) {
     SCOPED_TRACE(scheme_name(s));
-    const auto sequential = triangle_support_batch(input, masks, s);
-    ExecutionContext ctx;
-    const auto batched = triangle_support_batch(input, masks, s, &ctx);
+    std::vector<std::int64_t> sequential;
+    for (const CsrMatrix<int, double>* m : masks) {
+      sequential.push_back(static_cast<std::int64_t>(reduce_sum(
+          run_fresh<PlusPair<double>>(s, input.l, input.l, *m))));
+    }
+    Engine engine;
+    const auto batched = triangle_support_batch(input, masks, s, engine);
     EXPECT_EQ(sequential, batched);
-    EXPECT_EQ(batched[0], triangle_count(input, s).triangles);
     EXPECT_EQ(batched[2], 0);
-    EXPECT_EQ(ctx.cache_stats().batch_calls, 1u);
+    EXPECT_EQ(engine.cache_stats().batch_calls, 1u);
+    EXPECT_EQ(batched[0], triangle_count(input, s, engine).triangles);
   }
 }
 
@@ -516,17 +519,20 @@ TEST(AppBatch, FrontierExpansionBatchMatchesSequential) {
 
   for (Scheme s : {Scheme::kMsa2P, Scheme::kHash1P}) {
     SCOPED_TRACE(scheme_name(s));
-    const auto sequential = frontier_expansion_batch(frontier, adj, masks, s);
-    ExecutionContext ctx;
+    Engine engine;
     const auto batched =
-        frontier_expansion_batch(frontier, adj, masks, s, &ctx);
-    ASSERT_EQ(sequential.size(), batched.size());
+        frontier_expansion_batch(frontier, adj, masks, s, engine);
+    ASSERT_EQ(masks.size(), batched.size());
     for (std::size_t q = 0; q < masks.size(); ++q) {
-      EXPECT_TRUE(csr_equal(sequential[q], batched[q])) << "mask " << q;
+      EXPECT_TRUE(csr_equal(run_fresh<SR>(s, frontier, adj, *masks[q],
+                                          MaskKind::kComplement),
+                            batched[q]))
+          << "mask " << q;
     }
   }
+  Engine engine;
   EXPECT_THROW(
-      frontier_expansion_batch(frontier, adj, masks, Scheme::kMca1P),
+      frontier_expansion_batch(frontier, adj, masks, Scheme::kMca1P, engine),
       invalid_argument_error);
 }
 

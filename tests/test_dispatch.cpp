@@ -1,12 +1,13 @@
-// Tests for the scheme registry (core/dispatch.hpp): name round trips,
-// option decomposition, complement capability flags, and the pre-transposed
-// CSC fast path.
+// Tests for the scheme registry (core/scheme.hpp): name round trips,
+// option decomposition, complement capability flags, and the SS-style
+// baselines (core/baseline.hpp).
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 
-#include "core/dispatch.hpp"
+#include "core/baseline.hpp"
+#include "core/scheme.hpp"
 #include "matrix/dense.hpp"
 #include "test_support.hpp"
 
@@ -56,30 +57,6 @@ TEST(Dispatch, ComplementSupportFlags) {
   for (Scheme s : all_schemes()) {
     if (s == Scheme::kMca1P || s == Scheme::kMca2P) continue;
     EXPECT_TRUE(scheme_supports_complement(s)) << scheme_name(s);
-  }
-}
-
-TEST(Dispatch, RunSchemeCscMatchesRunScheme) {
-  const auto a = random_csr<IT, VT>(24, 30, 0.2, 1);
-  const auto b = random_csr<IT, VT>(30, 20, 0.2, 2);
-  const auto m = random_csr<IT, VT>(24, 20, 0.3, 3);
-  const auto b_csc = csr_to_csc(b);
-  for (Scheme s : all_schemes()) {
-    const auto plain = run_scheme<SR>(s, a, b, m);
-    const auto with_csc = run_scheme_csc<SR>(s, a, b, b_csc, m);
-    EXPECT_TRUE(csr_equal(plain, with_csc)) << scheme_name(s);
-  }
-}
-
-TEST(Dispatch, RunSchemeCscComplement) {
-  const auto a = random_csr<IT, VT>(16, 16, 0.3, 4);
-  const auto m = random_csr<IT, VT>(16, 16, 0.3, 5);
-  const auto a_csc = csr_to_csc(a);
-  const auto expected = reference_masked_multiply<SR>(a, a, m, true);
-  for (Scheme s : {Scheme::kInner1P, Scheme::kInner2P, Scheme::kMsa1P}) {
-    EXPECT_TRUE(csr_equal(expected, run_scheme_csc<SR>(s, a, a, a_csc, m,
-                                                       MaskKind::kComplement)))
-        << scheme_name(s);
   }
 }
 

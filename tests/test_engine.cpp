@@ -3,14 +3,14 @@
 // additions (core/scheme.hpp):
 //
 //  * conformance: the fluent builder and multiply_dyn are bit-identical to
-//    the templated ExecutionContext::multiply path over the conformance
-//    corpus × every scheme × both mask kinds × both mask semantics, for
-//    both index widths — with raw operands and with bound handles;
+//    the planless masked_multiply path over the conformance corpus × every
+//    scheme × both mask kinds × both mask semantics, for both index
+//    widths — with raw operands and with bound handles;
 //  * BoundMatrix reuse: value mutation flows through (transpose refresh,
 //    valued-semantics zero-bitmap refresh after values_changed), pattern
 //    rebind changes the fingerprint, steady-state calls hash nothing;
 //  * typed errors: complemented MCA is rejected with an
-//    unsupported_scheme_error naming the scheme, on every dispatch layer;
+//    unsupported_scheme_error naming the scheme, on every Engine entry;
 //  * Scheme::kAuto resolves to a correct configuration on both mask kinds.
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 
 #include "apps/components.hpp"
 #include "conformance/conformance_support.hpp"
-#include "core/dispatch.hpp"
 #include "core/engine.hpp"
 #include "matrix/ops.hpp"
 #include "test_support.hpp"
@@ -30,9 +29,10 @@ namespace {
 
 using msp::testing::csr_equal;
 using msp::testing::random_csr;
+using msp::testing::run_fresh;
 
 // ---------------------------------------------------------------------------
-// Conformance: builder and dyn path vs ExecutionContext::multiply
+// Conformance: builder and dyn path vs planless masked_multiply
 // ---------------------------------------------------------------------------
 
 template <class IT>
@@ -41,12 +41,9 @@ void sweep_engine_against_context(bool bind_operands) {
   using SR = PlusTimes<VT>;
   for (const auto& cse : conformance::corpus<IT>()) {
     for (const auto& cfg : conformance::all_configs()) {
-      // Reference: the templated context path (fresh context per config so
-      // cache state cannot leak between configurations).
-      ExecutionContext ref_ctx;
-      const CsrMatrix<IT, VT> expected = run_scheme<SR>(
-          cfg.scheme, cse.a, cse.b, cse.m, ref_ctx, cfg.kind, nullptr,
-          cfg.semantics);
+      // Reference: the planless path (no cache state at all).
+      const CsrMatrix<IT, VT> expected =
+          conformance::run_config<SR>(cfg, cse.a, cse.b, cse.m);
 
       Engine engine;
       CsrMatrix<IT, VT> actual;
@@ -112,9 +109,7 @@ TEST(EngineConformance, NonDefaultSemiringsThroughBuilderAndDyn) {
   const auto m = random_csr<IT, VT>(24, 24, 0.35, 3);
   Engine engine;
   // plus-pair via template-template .semiring<PlusPair>() and via dyn id.
-  ExecutionContext ref_ctx;
-  const auto expected = run_scheme<PlusPair<VT>>(Scheme::kHash2P, a, b, m,
-                                                 ref_ctx);
+  const auto expected = run_fresh<PlusPair<VT>>(Scheme::kHash2P, a, b, m);
   const auto built = engine.multiply(a, b)
                          .mask(m)
                          .semiring<PlusPair>()
@@ -128,7 +123,7 @@ TEST(EngineConformance, NonDefaultSemiringsThroughBuilderAndDyn) {
 
   // A custom semiring type through the fully-typed .semiring<S>().
   const auto minplus_expected =
-      run_scheme<MinPlus<VT>>(Scheme::kMsa1P, a, b, m, ref_ctx);
+      run_fresh<MinPlus<VT>>(Scheme::kMsa1P, a, b, m);
   const auto minplus_built = engine.multiply(a, b)
                                  .mask(m)
                                  .semiring<MinPlus<VT>>()
@@ -179,9 +174,6 @@ TEST(EngineAuto, AutoResolvesAndMatchesBaselineBothKinds) {
                             .scheme(Scheme::kAuto)
                             .run();
     EXPECT_TRUE(csr_equal(expected, actual));
-    // The planless shim resolves kAuto too.
-    EXPECT_TRUE(csr_equal(
-        expected, run_scheme<PlusTimes<VT>>(Scheme::kAuto, a, b, m, kind)));
   }
 }
 
@@ -229,7 +221,6 @@ TEST(EngineErrors, ComplementedMcaThrowsTypedErrorEverywhere) {
   const auto a = random_csr<IT, VT>(12, 12, 0.3, 31);
   const auto m = random_csr<IT, VT>(12, 12, 0.3, 32);
   Engine engine;
-  ExecutionContext ctx;
   for (Scheme s : {Scheme::kMca1P, Scheme::kMca2P}) {
     // Builder.
     try {
@@ -247,20 +238,10 @@ TEST(EngineErrors, ComplementedMcaThrowsTypedErrorEverywhere) {
     dyn.mask_kind = MaskKind::kComplement;
     EXPECT_THROW((void)engine.multiply_dyn(a, a, m, dyn),
                  unsupported_scheme_error);
-    // Free-function shims: planless, context, csc, batch.
-    EXPECT_THROW((void)run_scheme<PlusTimes<VT>>(s, a, a, m,
-                                                 MaskKind::kComplement),
-                 unsupported_scheme_error);
-    EXPECT_THROW((void)run_scheme<PlusTimes<VT>>(s, a, a, m, ctx,
-                                                 MaskKind::kComplement),
-                 unsupported_scheme_error);
-    const auto a_csc = csr_to_csc(a);
-    EXPECT_THROW((void)run_scheme_csc<PlusTimes<VT>>(s, a, a, a_csc, m,
-                                                     MaskKind::kComplement),
-                 unsupported_scheme_error);
+    // Batch path.
     const std::vector<const CsrMatrix<IT, VT>*> masks = {&m};
-    EXPECT_THROW((void)run_scheme_batch<PlusTimes<VT>>(
-                     s, a, a, masks, ctx, MaskKind::kComplement),
+    EXPECT_THROW((void)engine.multiply_batch<PlusTimes<VT>>(
+                     s, a, a, masks, MaskKind::kComplement),
                  unsupported_scheme_error);
     // The typed error is still an invalid_argument_error for old callers.
     EXPECT_THROW((void)engine.multiply(a, a).mask(m).scheme(s).complement()
@@ -333,8 +314,7 @@ TEST(BoundMatrix, ValueMutationFlowsThroughTransposeRefresh) {
   for (auto& v : b.values) v += 1.0;
   bb.values_changed();
   const auto after = call.run();
-  const auto expected =
-      run_scheme<PlusTimes<VT>>(Scheme::kInner2P, a, b, m);
+  const auto expected = run_fresh<PlusTimes<VT>>(Scheme::kInner2P, a, b, m);
   EXPECT_TRUE(csr_equal(expected, after));
   // And the mutation genuinely changed something.
   EXPECT_FALSE(before.values == after.values && before.nnz() > 0);
@@ -354,8 +334,8 @@ TEST(BoundMatrix, ValuedMaskZeroBitmapRefreshAfterValuesChanged) {
                   .valued();
   const auto before = call.run();
   EXPECT_TRUE(csr_equal(
-      run_scheme<PlusTimes<VT>>(Scheme::kHash1P, a, a,
-                                drop_explicit_zeros(m)),
+      run_fresh<PlusTimes<VT>>(Scheme::kHash1P, a, a,
+                               drop_explicit_zeros(m)),
       before));
   // Zero out some stored mask values: under valued semantics those
   // positions stop admitting output. values_changed() invalidates the
@@ -364,8 +344,8 @@ TEST(BoundMatrix, ValuedMaskZeroBitmapRefreshAfterValuesChanged) {
   mb.values_changed();
   const auto after = call.run();
   EXPECT_TRUE(csr_equal(
-      run_scheme<PlusTimes<VT>>(Scheme::kHash1P, a, a,
-                                drop_explicit_zeros(m)),
+      run_fresh<PlusTimes<VT>>(Scheme::kHash1P, a, a,
+                               drop_explicit_zeros(m)),
       after));
 }
 
@@ -380,13 +360,13 @@ TEST(BoundMatrix, RebindChangesFingerprintAndServesNewPattern) {
   const std::uint64_t fp1 = mb.fingerprint();
   const auto c1 =
       engine.multiply(a, a).mask(mb).scheme(Scheme::kMsa1P).run();
-  EXPECT_TRUE(csr_equal(run_scheme<PlusTimes<VT>>(Scheme::kMsa1P, a, a, m1),
+  EXPECT_TRUE(csr_equal(run_fresh<PlusTimes<VT>>(Scheme::kMsa1P, a, a, m1),
                         c1));
   mb.rebind(m2);
   EXPECT_NE(mb.fingerprint(), fp1);
   const auto c2 =
       engine.multiply(a, a).mask(mb).scheme(Scheme::kMsa1P).run();
-  EXPECT_TRUE(csr_equal(run_scheme<PlusTimes<VT>>(Scheme::kMsa1P, a, a, m2),
+  EXPECT_TRUE(csr_equal(run_fresh<PlusTimes<VT>>(Scheme::kMsa1P, a, a, m2),
                         c2));
   // Distinct fingerprints → distinct plan keys → no mismatch demotions.
   EXPECT_EQ(engine.cache_stats().plan_mismatches, 0u);
@@ -449,27 +429,6 @@ TEST(EngineApps, SpmvPassthroughMatchesFreeFunctions) {
   const auto pull_eng = engine.spmv_pull<SR>(x, a_csc, m, true);
   EXPECT_EQ(pull_ref.indices, pull_eng.indices);
   EXPECT_EQ(pull_ref.values, pull_eng.values);
-}
-
-TEST(EngineApps, NonOwningEngineSharesExternalContext) {
-  using IT = int;
-  using VT = double;
-  const auto a = random_csr<IT, VT>(16, 16, 0.3, 121);
-  const auto m = random_csr<IT, VT>(16, 16, 0.4, 122);
-  ExecutionContext ctx;
-  // Prime the context through the legacy path...
-  const auto c1 = run_scheme<PlusTimes<VT>>(Scheme::kMsa2P, a, a, m, ctx);
-  // ...then hit the same plan through a facade over the same context.
-  Engine engine(ctx);
-  MaskedSpgemmStats stats;
-  const auto c2 = engine.multiply(a, a)
-                      .mask(m)
-                      .scheme(Scheme::kMsa2P)
-                      .stats(&stats)
-                      .run();
-  EXPECT_TRUE(csr_equal(c1, c2));
-  EXPECT_TRUE(stats.plan_cache_hit);
-  EXPECT_TRUE(stats.symbolic_skipped);
 }
 
 }  // namespace

@@ -235,10 +235,11 @@ std::vector<IT> bfs_reference(const CsrMatrix<IT, VT>& adj, IT src) {
 }
 
 TEST(Bfs, MatchesSerialReferenceOnRmat) {
+  Engine engine;
   const auto g = rmat_graph<IT, VT>(7, 8.0);
   const std::vector<IT> sources = {0, 5, 100};
   for (Scheme s : {Scheme::kMsa1P, Scheme::kHash2P, Scheme::kSsSaxpy}) {
-    const auto r = multi_source_bfs(g, sources, s);
+    const auto r = multi_source_bfs(g, sources, s, engine);
     for (std::size_t si = 0; si < sources.size(); ++si) {
       const auto expected = bfs_reference(g, sources[si]);
       EXPECT_EQ(r.levels[si], expected) << "source " << sources[si];
@@ -247,31 +248,37 @@ TEST(Bfs, MatchesSerialReferenceOnRmat) {
 }
 
 TEST(Bfs, DisconnectedVerticesStayUnreached) {
+  Engine engine;
   CooMatrix<IT, VT> coo(5, 5);
   coo.push(0, 1, 1.0);
   coo.push(1, 0, 1.0);
   const auto g = coo_to_csr(std::move(coo));
-  const auto r = multi_source_bfs(g, std::vector<IT>{0}, Scheme::kMsa1P);
+  const auto r =
+      multi_source_bfs(g, std::vector<IT>{0}, Scheme::kMsa1P, engine);
   EXPECT_EQ(r.levels[0], (std::vector<IT>{0, 1, -1, -1, -1}));
 }
 
 TEST(Bfs, PathGraphLevels) {
+  Engine engine;
   const auto g = path_graph<IT, VT>(6);
-  const auto r = multi_source_bfs(g, std::vector<IT>{0, 3}, Scheme::kHash1P);
+  const auto r =
+      multi_source_bfs(g, std::vector<IT>{0, 3}, Scheme::kHash1P, engine);
   EXPECT_EQ(r.levels[0], (std::vector<IT>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(r.levels[1], (std::vector<IT>{3, 2, 1, 0, 1, 2}));
   EXPECT_EQ(r.depth, 5);
 }
 
 TEST(Bfs, McaRejected) {
+  Engine engine;
   const auto g = path_graph<IT, VT>(4);
-  EXPECT_THROW(multi_source_bfs(g, std::vector<IT>{0}, Scheme::kMca1P),
+  EXPECT_THROW(multi_source_bfs(g, std::vector<IT>{0}, Scheme::kMca1P, engine),
                invalid_argument_error);
 }
 
 TEST(Bfs, SourceOutOfRangeThrows) {
+  Engine engine;
   const auto g = path_graph<IT, VT>(4);
-  EXPECT_THROW(multi_source_bfs(g, std::vector<IT>{4}, Scheme::kMsa1P),
+  EXPECT_THROW(multi_source_bfs(g, std::vector<IT>{4}, Scheme::kMsa1P, engine),
                invalid_argument_error);
 }
 

@@ -7,14 +7,17 @@
 #include <cstdint>
 
 #include "apps/tricount.hpp"
-#include "core/dispatch.hpp"
+#include "core/engine.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/structured.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/ops.hpp"
+#include "test_support.hpp"
 
 namespace msp {
 namespace {
+
+using msp::testing::run_fresh;
 
 template <class IT, class VT>
 CsrMatrix<IT, VT> small_random(IT n, double degree, std::uint64_t seed) {
@@ -30,13 +33,13 @@ void run_pipeline() {
   const auto m = small_random<IT, VT>(n, 10.0, 3);
   const auto expected = reference_masked_multiply<SR>(a, b, m, false);
   for (Scheme s : all_schemes()) {
-    const auto c = run_scheme<SR>(s, a, b, m);
+    const auto c = run_fresh<SR>(s, a, b, m);
     EXPECT_EQ(c, expected) << scheme_name(s);
   }
   const auto expected_c = reference_masked_multiply<SR>(a, b, m, true);
   for (Scheme s : all_schemes()) {
     if (!scheme_supports_complement(s)) continue;
-    EXPECT_EQ(run_scheme<SR>(s, a, b, m, MaskKind::kComplement), expected_c)
+    EXPECT_EQ(run_fresh<SR>(s, a, b, m, MaskKind::kComplement), expected_c)
         << scheme_name(s);
   }
 }
@@ -47,8 +50,10 @@ TEST(IndexTypes, IntegerValues) { run_pipeline<int, std::int64_t>(); }
 
 TEST(IndexTypes, TricountWithInt64) {
   const auto k8 = complete_graph<std::int64_t, double>(8);
-  EXPECT_EQ(triangle_count(k8, Scheme::kMsa1P).triangles, 56);  // C(8,3)
-  EXPECT_EQ(triangle_count(k8, Scheme::kHash2P).triangles, 56);
+  Engine engine;
+  EXPECT_EQ(triangle_count(k8, Scheme::kMsa1P, engine).triangles,
+            56);  // C(8,3)
+  EXPECT_EQ(triangle_count(k8, Scheme::kHash2P, engine).triangles, 56);
 }
 
 TEST(IndexTypes, OpsWithInt64) {

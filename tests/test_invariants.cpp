@@ -398,12 +398,11 @@ TEST(InvariantsHints, StaleHandleFingerprintIsNamed) {
 
 TEST(InvariantsNoFalsePositives, ConformanceCorpusAllConfigs) {
   using SR = PlusTimes<double>;
-  ExecutionContext ctx;
+  Engine eng;
   for (const auto& cse : conformance::corpus<index_t>()) {
     for (const auto& cfg : conformance::all_configs()) {
       const auto expect = conformance::expected_result<SR>(
           cse.a, cse.b, cse.m, cfg.kind, cfg.semantics);
-      Engine eng(ctx);
       const auto got = eng.multiply(cse.a, cse.b)
                            .mask(cse.m)
                            .semiring<PlusTimes>()

@@ -6,7 +6,7 @@
 #include <string>
 #include <tuple>
 
-#include "core/dispatch.hpp"
+#include "core/engine.hpp"
 #include "matrix/dense.hpp"
 #include "semiring/semiring.hpp"
 #include "test_support.hpp"
@@ -19,6 +19,7 @@ using VT = double;
 using SR = PlusTimes<VT>;
 using msp::testing::csr_equal;
 using msp::testing::random_csr;
+using msp::testing::run_fresh;
 
 struct Case {
   Scheme scheme;
@@ -53,7 +54,7 @@ TEST_P(MaskedSpgemmOracle, MatchesDenseReference) {
   const auto mask = random_csr<IT, VT>(c.m, c.n, c.mask_density, c.seed + 2);
   const auto expected = reference_masked_multiply<SR>(
       a, b, mask, c.kind == MaskKind::kComplement);
-  const auto actual = run_scheme<SR>(c.scheme, a, b, mask, c.kind);
+  const auto actual = run_fresh<SR>(c.scheme, a, b, mask, c.kind);
   EXPECT_TRUE(csr_equal(expected, actual));
 }
 
@@ -130,7 +131,7 @@ TEST(MaskedSpgemm, AliasedOperandsMEqualsAEqualsB) {
   const auto l = random_csr<IT, VT>(30, 30, 0.2, 5);
   const auto expected = reference_masked_multiply<SR>(l, l, l, false);
   for (Scheme s : all_schemes()) {
-    const auto actual = run_scheme<SR>(s, l, l, l, MaskKind::kMask);
+    const auto actual = run_fresh<SR>(s, l, l, l, MaskKind::kMask);
     EXPECT_TRUE(csr_equal(expected, actual)) << scheme_name(s);
   }
 }
@@ -139,7 +140,7 @@ TEST(MaskedSpgemm, EmptyMatrices) {
   const CsrMatrix<IT, VT> a(0, 0);
   const CsrMatrix<IT, VT> m(0, 0);
   for (Scheme s : all_schemes()) {
-    const auto c = run_scheme<SR>(s, a, a, m, MaskKind::kMask);
+    const auto c = run_fresh<SR>(s, a, a, m, MaskKind::kMask);
     EXPECT_EQ(c.nnz(), 0u) << scheme_name(s);
     EXPECT_EQ(c.nrows, 0) << scheme_name(s);
   }
@@ -158,7 +159,7 @@ TEST(MaskedSpgemm, MaskDenserThanProduct) {
   }
   const auto mask = coo_to_csr(std::move(mcoo));
   for (Scheme s : all_schemes()) {
-    const auto c = run_scheme<SR>(s, a, a, mask, MaskKind::kMask);
+    const auto c = run_fresh<SR>(s, a, a, mask, MaskKind::kMask);
     ASSERT_EQ(c.nnz(), 1u) << scheme_name(s);
     EXPECT_EQ(c.colids[0], 0) << scheme_name(s);
     EXPECT_DOUBLE_EQ(c.values[0], 4.0) << scheme_name(s);
@@ -173,7 +174,7 @@ TEST(MaskedSpgemm, OtherSemirings) {
     using Pair = PlusPair<VT>;
     const auto expected = reference_masked_multiply<Pair>(a, b, mask, false);
     for (Scheme s : all_schemes()) {
-      EXPECT_TRUE(csr_equal(expected, run_scheme<Pair>(s, a, b, mask)))
+      EXPECT_TRUE(csr_equal(expected, run_fresh<Pair>(s, a, b, mask)))
           << scheme_name(s) << " on plus-pair";
     }
   }
@@ -181,7 +182,7 @@ TEST(MaskedSpgemm, OtherSemirings) {
     using MP = MinPlus<VT>;
     const auto expected = reference_masked_multiply<MP>(a, b, mask, false);
     for (Scheme s : all_schemes()) {
-      EXPECT_TRUE(csr_equal(expected, run_scheme<MP>(s, a, b, mask)))
+      EXPECT_TRUE(csr_equal(expected, run_fresh<MP>(s, a, b, mask)))
           << scheme_name(s) << " on min-plus";
     }
   }
@@ -212,7 +213,7 @@ TEST(MaskedSpgemm, RectangularBatchShape) {
   for (Scheme s : all_schemes()) {
     if (!scheme_supports_complement(s)) continue;
     const auto actual =
-        run_scheme<SR>(s, f, adj, visited, MaskKind::kComplement);
+        run_fresh<SR>(s, f, adj, visited, MaskKind::kComplement);
     EXPECT_TRUE(csr_equal(expected, actual)) << scheme_name(s);
   }
 }

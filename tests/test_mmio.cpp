@@ -161,6 +161,21 @@ TEST(MmioErrors, TruncatedEntries) {
   EXPECT_THROW((read_matrix_market<IT, VT>(ss)), io_error);
 }
 
+// Regression: the claimed nnz used to size an up-front reserve, so a short
+// file claiming 10^15 entries died in bad_alloc instead of io_error.
+TEST(MmioErrors, HugeClaimedNnzIsTruncatedNotBadAlloc) {
+  std::stringstream ss(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "3 3 1000000000000000\n"
+      "1 1 1.0\n");
+  try {
+    (void)read_matrix_market<IT, VT>(ss);
+    FAIL() << "expected io_error";
+  } catch (const io_error& e) {
+    EXPECT_STREQ(e.what(), "mmio: truncated entries");
+  }
+}
+
 TEST(MmioErrors, OutOfBoundsEntry) {
   std::stringstream ss(
       "%%MatrixMarket matrix coordinate real general\n"

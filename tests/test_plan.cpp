@@ -15,6 +15,7 @@
 #include "apps/ktruss.hpp"
 #include "apps/tricount.hpp"
 #include "conformance/conformance_support.hpp"
+#include "core/engine.hpp"
 #include "core/exec_context.hpp"
 #include "core/plan.hpp"
 #include "gen/erdos_renyi.hpp"
@@ -39,24 +40,23 @@ using SR = PlusTimes<double>;
 
 template <class IT>
 void sweep_plan_vs_planless() {
-  ExecutionContext ctx;
+  Engine engine;
   for (const auto& cse : corpus<IT>()) {
     for (const Config& cfg : all_configs()) {
       SCOPED_TRACE(cse.name + "/" + cfg.name());
       const auto expected =
           run_config<SR, IT, double>(cfg, cse.a, cse.b, cse.m);
-      const auto first = run_scheme<SR>(cfg.scheme, cse.a, cse.b, cse.m, ctx,
-                                        cfg.kind, nullptr, cfg.semantics);
+      const auto first = engine.multiply_scheme<SR>(
+          cfg.scheme, cse.a, cse.b, cse.m, cfg.kind, cfg.semantics);
       EXPECT_TRUE(csr_equal(expected, first));
       // Second call: the plan (and, for 2P schemes, the symbolic
       // structure) comes from the cache; results must not change.
-      const auto reused = run_scheme<SR>(cfg.scheme, cse.a, cse.b, cse.m,
-                                         ctx, cfg.kind, nullptr,
-                                         cfg.semantics);
+      const auto reused = engine.multiply_scheme<SR>(
+          cfg.scheme, cse.a, cse.b, cse.m, cfg.kind, cfg.semantics);
       EXPECT_TRUE(csr_equal(expected, reused));
     }
   }
-  EXPECT_GT(ctx.cache_stats().plan_hits, 0u);
+  EXPECT_GT(engine.cache_stats().plan_hits, 0u);
 }
 
 TEST(PlanConformance, MatchesPlanlessOnFullCorpusInt32) {
@@ -75,12 +75,12 @@ TEST(PlanReuse, MutatedValuesSamePatternSeesFreshValues) {
   auto a = random_csr<int, double>(40, 40, 0.2, 101);
   auto b = random_csr<int, double>(40, 40, 0.2, 102);
   const auto m = random_csr<int, double>(40, 40, 0.3, 103);
-  ExecutionContext ctx;
+  Engine engine;
 
   for (Scheme s : {Scheme::kMsa1P, Scheme::kMsa2P, Scheme::kHash2P,
                    Scheme::kInner1P, Scheme::kInner2P}) {
     SCOPED_TRACE(scheme_name(s));
-    (void)run_scheme<SR>(s, a, b, m, ctx);  // warm the plan cache
+    (void)engine.multiply_scheme<SR>(s, a, b, m);  // warm the plan cache
 
     // Mutate values only: the pattern (rowptr/colids) is untouched, so the
     // cached plan must be reused AND the new values must flow through —
@@ -89,9 +89,11 @@ TEST(PlanReuse, MutatedValuesSamePatternSeesFreshValues) {
     for (auto& v : b.values) v += 2.0;
 
     MaskedSpgemmStats stats;
-    const auto planned = run_scheme<SR>(s, a, b, m, ctx, MaskKind::kMask,
-                                        &stats);
-    const auto planless = run_scheme<SR>(s, a, b, m);
+    const auto planned = engine.multiply_scheme<SR>(
+        s, a, b, m, MaskKind::kMask, MaskSemantics::kStructural, &stats);
+    MaskedSpgemmOptions opt;
+    ASSERT_TRUE(scheme_to_options(s, opt));
+    const auto planless = masked_multiply<SR>(a, b, m, opt);
     EXPECT_TRUE(csr_equal(planless, planned));
     EXPECT_TRUE(stats.plan_cache_hit);
   }
@@ -144,14 +146,14 @@ TEST(PlanReuse, CrossSchemeSharing) {
   const auto a = random_csr<int, double>(30, 30, 0.2, 131);
   const auto b = random_csr<int, double>(30, 30, 0.2, 132);
   const auto m = random_csr<int, double>(30, 30, 0.3, 133);
-  ExecutionContext ctx;
+  Engine engine;
   // All algorithms share one plan per (patterns, kind, semantics) key.
-  (void)run_scheme<SR>(Scheme::kMsa1P, a, b, m, ctx);
-  (void)run_scheme<SR>(Scheme::kHash2P, a, b, m, ctx);
-  (void)run_scheme<SR>(Scheme::kHeap1P, a, b, m, ctx);
-  EXPECT_EQ(ctx.plan_count(), 1u);
-  EXPECT_EQ(ctx.cache_stats().plan_misses, 1u);
-  EXPECT_EQ(ctx.cache_stats().plan_hits, 2u);
+  (void)engine.multiply_scheme<SR>(Scheme::kMsa1P, a, b, m);
+  (void)engine.multiply_scheme<SR>(Scheme::kHash2P, a, b, m);
+  (void)engine.multiply_scheme<SR>(Scheme::kHeap1P, a, b, m);
+  EXPECT_EQ(engine.plan_count(), 1u);
+  EXPECT_EQ(engine.cache_stats().plan_misses, 1u);
+  EXPECT_EQ(engine.cache_stats().plan_hits, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -302,25 +304,25 @@ TEST(PatternFingerprint, InsensitiveToValuesSensitiveToPattern) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-aware applications
+// Plan-aware applications. The planless reference is the same app run with
+// the SS:SAXPY baseline, which executes without a plan.
 // ---------------------------------------------------------------------------
 
 TEST(PlanApps, KtrussMatchesPlanlessAndAmortizes) {
-  // ktruss requires a symmetric simple adjacency (its planless path builds
-  // B's CSC as a view of the CSR arrays, valid only under symmetry).
   const auto g =
       remove_diagonal(symmetrize(erdos_renyi<int, double>(120, 8.0, 191)));
+  Engine ref;
+  const auto planless = ktruss(g, 5, Scheme::kSsSaxpy, ref);
   for (Scheme s : {Scheme::kMsa1P, Scheme::kHash2P, Scheme::kInner2P}) {
     SCOPED_TRACE(scheme_name(s));
-    const auto planless = ktruss(g, 5, s);
-    ExecutionContext ctx;
-    const auto first = ktruss(g, 5, s, 1000, &ctx);
+    Engine engine;
+    const auto first = ktruss(g, 5, s, engine);
     EXPECT_TRUE(csr_equal(planless.truss, first.truss));
     EXPECT_EQ(planless.iterations, first.iterations);
     EXPECT_EQ(planless.flops, first.flops);
     // A repeated run over the same graph hits the cache on every iteration
     // and skips every symbolic pass (2P) from the adopted structures.
-    const auto second = ktruss(g, 5, s, 1000, &ctx);
+    const auto second = ktruss(g, 5, s, engine);
     EXPECT_TRUE(csr_equal(planless.truss, second.truss));
     EXPECT_EQ(second.plan_stats.plan_hits, second.plan_stats.calls);
     EXPECT_DOUBLE_EQ(second.plan_stats.symbolic_seconds, 0.0);
@@ -331,13 +333,14 @@ TEST(PlanApps, TricountMatchesPlanless) {
   const auto g =
       remove_diagonal(symmetrize(erdos_renyi<int, double>(150, 10.0, 201)));
   const auto input = tricount_prepare(g);
+  Engine ref;
+  const auto planless = triangle_count(input, Scheme::kSsSaxpy, ref);
   for (Scheme s :
        {Scheme::kMsa1P, Scheme::kMca2P, Scheme::kInner1P, Scheme::kSsDot}) {
     SCOPED_TRACE(scheme_name(s));
-    const auto planless = triangle_count(input, s);
-    ExecutionContext ctx;
-    const auto r1 = triangle_count(input, s, &ctx);
-    const auto r2 = triangle_count(input, s, &ctx);
+    Engine engine;
+    const auto r1 = triangle_count(input, s, engine);
+    const auto r2 = triangle_count(input, s, engine);
     EXPECT_EQ(planless.triangles, r1.triangles);
     EXPECT_EQ(planless.triangles, r2.triangles);
   }
@@ -347,12 +350,14 @@ TEST(PlanApps, BetweennessCentralityMatchesPlanless) {
   const auto g =
       remove_diagonal(symmetrize(erdos_renyi<int, double>(100, 6.0, 211)));
   const std::vector<int> sources = {0, 3, 17, 42};
+  Engine ref;
+  const auto planless =
+      betweenness_centrality(g, sources, Scheme::kSsSaxpy, ref);
   for (Scheme s : {Scheme::kMsa1P, Scheme::kHash2P}) {
     SCOPED_TRACE(scheme_name(s));
-    const auto planless = betweenness_centrality(g, sources, s);
-    ExecutionContext ctx;
-    const auto first = betweenness_centrality(g, sources, s, &ctx);
-    const auto second = betweenness_centrality(g, sources, s, &ctx);
+    Engine engine;
+    const auto first = betweenness_centrality(g, sources, s, engine);
+    const auto second = betweenness_centrality(g, sources, s, engine);
     ASSERT_EQ(planless.centrality.size(), first.centrality.size());
     for (std::size_t v = 0; v < planless.centrality.size(); ++v) {
       EXPECT_DOUBLE_EQ(planless.centrality[v], first.centrality[v]) << v;

@@ -6,7 +6,7 @@
 #include <set>
 #include <utility>
 
-#include "core/dispatch.hpp"
+#include "core/engine.hpp"
 #include "core/spgemm.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "matrix/ops.hpp"
@@ -21,6 +21,7 @@ using VT = double;
 using SR = PlusTimes<VT>;
 using msp::testing::csr_equal;
 using msp::testing::random_csr;
+using msp::testing::run_fresh;
 
 std::set<std::pair<IT, IT>> pattern_of(const CsrMatrix<IT, VT>& a) {
   std::set<std::pair<IT, IT>> s;
@@ -50,13 +51,13 @@ TEST_P(MaskedSpgemmProperties, OutputPatternRespectsMask) {
   const auto m = random_csr<IT, VT>(c.n, c.n, c.mask_density, c.seed + 2);
   const auto mask_pattern = pattern_of(m);
   for (Scheme s : all_schemes()) {
-    const auto out = run_scheme<SR>(s, a, b, m, MaskKind::kMask);
+    const auto out = run_fresh<SR>(s, a, b, m, MaskKind::kMask);
     for (const auto& coord : pattern_of(out)) {
       EXPECT_TRUE(mask_pattern.count(coord))
           << scheme_name(s) << ": output entry outside mask";
     }
     if (!scheme_supports_complement(s)) continue;
-    const auto outc = run_scheme<SR>(s, a, b, m, MaskKind::kComplement);
+    const auto outc = run_fresh<SR>(s, a, b, m, MaskKind::kComplement);
     for (const auto& coord : pattern_of(outc)) {
       EXPECT_FALSE(mask_pattern.count(coord))
           << scheme_name(s) << ": complemented output entry inside mask";
@@ -74,9 +75,9 @@ TEST_P(MaskedSpgemmProperties, MaskAndComplementPartitionPlainProduct) {
   const auto plain = multiply<SR>(a, b);
   for (Scheme s : all_schemes()) {
     if (!scheme_supports_complement(s)) continue;
-    const auto masked = run_scheme<SR>(s, a, b, m, MaskKind::kMask);
+    const auto masked = run_fresh<SR>(s, a, b, m, MaskKind::kMask);
     const auto compl_masked =
-        run_scheme<SR>(s, a, b, m, MaskKind::kComplement);
+        run_fresh<SR>(s, a, b, m, MaskKind::kComplement);
     const auto merged = ewise_add(masked, compl_masked);
     EXPECT_TRUE(csr_equal(plain, merged)) << scheme_name(s);
   }
@@ -89,9 +90,9 @@ TEST_P(MaskedSpgemmProperties, AllSchemesAgreePairwise) {
   const auto b = random_csr<IT, VT>(c.n, c.n, c.density, c.seed + 21);
   const auto m = random_csr<IT, VT>(c.n, c.n, c.mask_density, c.seed + 22);
   const auto schemes = all_schemes();
-  const auto reference = run_scheme<SR>(schemes.front(), a, b, m);
+  const auto reference = run_fresh<SR>(schemes.front(), a, b, m);
   for (std::size_t i = 1; i < schemes.size(); ++i) {
-    EXPECT_TRUE(csr_equal(reference, run_scheme<SR>(schemes[i], a, b, m)))
+    EXPECT_TRUE(csr_equal(reference, run_fresh<SR>(schemes[i], a, b, m)))
         << scheme_name(schemes[i]) << " disagrees with "
         << scheme_name(schemes.front());
   }
@@ -113,13 +114,13 @@ TEST_P(MaskedSpgemmProperties, OneAndTwoPhaseIdentical) {
       {Scheme::kInner1P, Scheme::kInner2P},
   };
   for (const auto& [one, two] : pairs) {
-    EXPECT_TRUE(csr_equal(run_scheme<SR>(one, a, b, m),
-                          run_scheme<SR>(two, a, b, m)))
+    EXPECT_TRUE(csr_equal(run_fresh<SR>(one, a, b, m),
+                          run_fresh<SR>(two, a, b, m)))
         << scheme_name(one) << " vs " << scheme_name(two);
     if (!scheme_supports_complement(one)) continue;
     EXPECT_TRUE(
-        csr_equal(run_scheme<SR>(one, a, b, m, MaskKind::kComplement),
-                  run_scheme<SR>(two, a, b, m, MaskKind::kComplement)))
+        csr_equal(run_fresh<SR>(one, a, b, m, MaskKind::kComplement),
+                  run_fresh<SR>(two, a, b, m, MaskKind::kComplement)))
         << scheme_name(one) << " vs " << scheme_name(two) << " (complement)";
   }
 }
@@ -135,7 +136,7 @@ TEST_P(MaskedSpgemmProperties, OutputRowsSortedAndUnique) {
       if (kind == MaskKind::kComplement && !scheme_supports_complement(s)) {
         continue;
       }
-      const auto out = run_scheme<SR>(s, a, b, m, kind);
+      const auto out = run_fresh<SR>(s, a, b, m, kind);
       EXPECT_TRUE(out.check_structure()) << scheme_name(s);
     }
   }
@@ -155,15 +156,15 @@ TEST_P(MaskedSpgemmProperties, FullAndEmptyMaskDegenerateCorrectly) {
   const CsrMatrix<IT, VT> empty(c.n, c.n);
   const auto plain = multiply<SR>(a, b);
   for (Scheme s : all_schemes()) {
-    EXPECT_TRUE(csr_equal(plain, run_scheme<SR>(s, a, b, full)))
+    EXPECT_TRUE(csr_equal(plain, run_fresh<SR>(s, a, b, full)))
         << scheme_name(s) << " with full mask";
-    EXPECT_EQ(run_scheme<SR>(s, a, b, empty).nnz(), 0u)
+    EXPECT_EQ(run_fresh<SR>(s, a, b, empty).nnz(), 0u)
         << scheme_name(s) << " with empty mask";
     if (!scheme_supports_complement(s)) continue;
-    EXPECT_EQ(run_scheme<SR>(s, a, b, full, MaskKind::kComplement).nnz(), 0u)
+    EXPECT_EQ(run_fresh<SR>(s, a, b, full, MaskKind::kComplement).nnz(), 0u)
         << scheme_name(s) << " with complemented full mask";
     EXPECT_TRUE(csr_equal(
-        plain, run_scheme<SR>(s, a, b, empty, MaskKind::kComplement)))
+        plain, run_fresh<SR>(s, a, b, empty, MaskKind::kComplement)))
         << scheme_name(s) << " with complemented empty mask";
   }
 }
@@ -189,9 +190,9 @@ TEST(MaskedSpgemmScale, SchemesAgreeOnErdosRenyi) {
   const IT n = 1 << 10;
   const auto a = erdos_renyi<IT, VT>(n, 12.0, 101);
   const auto m = erdos_renyi<IT, VT>(n, 24.0, 103);
-  const auto reference = run_scheme<SR>(Scheme::kMsa1P, a, a, m);
+  const auto reference = run_fresh<SR>(Scheme::kMsa1P, a, a, m);
   for (Scheme s : all_schemes()) {
-    EXPECT_TRUE(csr_equal(reference, run_scheme<SR>(s, a, a, m)))
+    EXPECT_TRUE(csr_equal(reference, run_fresh<SR>(s, a, a, m)))
         << scheme_name(s);
   }
 }
@@ -201,11 +202,11 @@ TEST(MaskedSpgemmScale, ComplementSchemesAgreeOnErdosRenyi) {
   const auto a = erdos_renyi<IT, VT>(n, 8.0, 201);
   const auto m = erdos_renyi<IT, VT>(n, 16.0, 203);
   const auto reference =
-      run_scheme<SR>(Scheme::kMsa1P, a, a, m, MaskKind::kComplement);
+      run_fresh<SR>(Scheme::kMsa1P, a, a, m, MaskKind::kComplement);
   for (Scheme s : all_schemes()) {
     if (!scheme_supports_complement(s)) continue;
     EXPECT_TRUE(csr_equal(
-        reference, run_scheme<SR>(s, a, a, m, MaskKind::kComplement)))
+        reference, run_fresh<SR>(s, a, a, m, MaskKind::kComplement)))
         << scheme_name(s);
   }
 }

@@ -166,8 +166,9 @@ TEST(DirectionOptimizedBfs, InvalidInputThrows) {
 // Clustering coefficients
 
 TEST(Clustering, CompleteGraphIsFullyClustered) {
+  Engine engine;
   const auto k6 = complete_graph<IT, VT>(6);
-  const auto r = clustering_coefficients(k6);
+  const auto r = clustering_coefficients(k6, Scheme::kMsa1P, engine);
   for (IT i = 0; i < 6; ++i) {
     EXPECT_EQ(r.triangles_per_vertex[i], 10);  // C(5,2)
     EXPECT_DOUBLE_EQ(r.local_coefficient[i], 1.0);
@@ -176,17 +177,19 @@ TEST(Clustering, CompleteGraphIsFullyClustered) {
 }
 
 TEST(Clustering, TriangleFreeGraphIsZero) {
+  Engine engine;
   const auto g = grid_graph<IT, VT>(5, 5);
-  const auto r = clustering_coefficients(g);
+  const auto r = clustering_coefficients(g, Scheme::kMsa1P, engine);
   for (auto t : r.triangles_per_vertex) EXPECT_EQ(t, 0);
   EXPECT_DOUBLE_EQ(r.average_coefficient, 0.0);
 }
 
 TEST(Clustering, BarbellBridgeVertices) {
+  Engine engine;
   // In barbell(4): block vertices not on the bridge have coefficient 1;
   // bridge endpoints see their K4 triangles (3) out of C(4,2)=6 wedges.
   const auto b = barbell_graph<IT, VT>(4);
-  const auto r = clustering_coefficients(b);
+  const auto r = clustering_coefficients(b, Scheme::kMsa1P, engine);
   EXPECT_EQ(r.triangles_per_vertex[0], 3);  // inside K4 only
   EXPECT_DOUBLE_EQ(r.local_coefficient[0], 1.0);
   EXPECT_EQ(r.triangles_per_vertex[3], 3);  // bridge endpoint, degree 4
@@ -194,12 +197,13 @@ TEST(Clustering, BarbellBridgeVertices) {
 }
 
 TEST(Clustering, TotalsMatchTriangleCount) {
+  Engine engine;
   const auto g = rmat_graph<IT, VT>(8, 8.0);
-  const auto r = clustering_coefficients(g, Scheme::kHash1P);
+  const auto r = clustering_coefficients(g, Scheme::kHash1P, engine);
   std::int64_t total = 0;
   for (auto t : r.triangles_per_vertex) total += t;
   // Σ_v tri(v) = 3 · (number of triangles).
-  const auto tc = triangle_count(g, Scheme::kMsa1P);
+  const auto tc = triangle_count(g, Scheme::kMsa1P, engine);
   EXPECT_EQ(total, 3 * tc.triangles);
 }
 

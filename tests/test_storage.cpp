@@ -12,8 +12,10 @@
 //    exactly as the contract in core/shard.hpp promises.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -535,6 +537,73 @@ TEST(StorageRegression, UnsizableStreamIsTypedErrorNotBadAlloc) {
   std::istringstream ok("12345");
   ok.seekg(0, std::ios::end);
   EXPECT_EQ(detail::stream_size_or_throw(ok, "probe"), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Regression: deserialize_shard's header arithmetic. Disk reloads and both
+// ends of the serve wire decode through it. The counts used to be
+// multiplied into byte sizes unchecked (nnz = 2^62 wraps nnz * 8 to 0, so
+// the truncation check passed and the vector constructor threw
+// length_error) and narrowed to IT unchecked (ncols = 2^40 became 0).
+// ---------------------------------------------------------------------------
+
+// A well-formed header with the given counts, followed by `payload` zero
+// bytes.
+template <class IT, class VT>
+std::vector<std::byte> crafted_shard_blob(std::int64_t nrows,
+                                          std::int64_t ncols,
+                                          std::uint64_t nnz,
+                                          std::size_t payload) {
+  detail::ShardFileHeader h;
+  h.it_bytes = sizeof(IT);
+  h.vt_bytes = sizeof(VT);
+  h.nrows = nrows;
+  h.ncols = ncols;
+  h.nnz = nnz;
+  std::vector<std::byte> blob(sizeof(h) + payload);
+  std::memcpy(blob.data(), &h, sizeof(h));
+  return blob;
+}
+
+template <class IT>
+void expect_shard_decode_io_error(const std::vector<std::byte>& blob) {
+  EXPECT_THROW((void)(detail::deserialize_shard<IT, double>(
+                   blob.data(), blob.size(), "crafted")),
+               io_error);
+}
+
+TEST(StorageRegression, CraftedShardNnzThatWrapsByteSizesIsTypedError) {
+  // nnz * sizeof(IT) and nnz * sizeof(VT) both wrap to 0.
+  expect_shard_decode_io_error<std::int64_t>(
+      crafted_shard_blob<std::int64_t, double>(0, 4, std::uint64_t{1} << 62,
+                                               sizeof(std::int64_t)));
+  expect_shard_decode_io_error<int>(
+      crafted_shard_blob<int, double>(0, 4, std::uint64_t{1} << 62,
+                                      sizeof(int)));
+}
+
+TEST(StorageRegression, CraftedShardNrowsThatWrapsRowptrSizeIsTypedError) {
+  // (nrows + 1) * sizeof(IT) wraps to 0.
+  expect_shard_decode_io_error<std::int64_t>(
+      crafted_shard_blob<std::int64_t, double>(
+          std::numeric_limits<std::int64_t>::max(), 4, 0,
+          sizeof(std::int64_t)));
+}
+
+TEST(StorageRegression, CraftedShardShapeBeyondIndexTypeIsTypedError) {
+  // Sized correctly for an empty 0-row matrix, but ncols does not fit a
+  // 32-bit index.
+  expect_shard_decode_io_error<int>(crafted_shard_blob<int, double>(
+      0, std::int64_t{1} << 40, 0, sizeof(int)));
+  expect_shard_decode_io_error<int>(crafted_shard_blob<int, double>(
+      std::int64_t{1} << 32, 4, 0, sizeof(int)));
+  // The same shape with a fitting index type still decodes.
+  const auto ok = crafted_shard_blob<std::int64_t, double>(
+      0, std::int64_t{1} << 40, 0, sizeof(std::int64_t));
+  const auto m =
+      detail::deserialize_shard<std::int64_t, double>(ok.data(), ok.size(),
+                                                      "crafted");
+  EXPECT_EQ(m.ncols, std::int64_t{1} << 40);
 }
 
 }  // namespace

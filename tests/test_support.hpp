@@ -1,13 +1,14 @@
 // Shared helpers for the test suite: random rectangular matrices with
 // small-integer values (so floating-point accumulation is exact and results
-// can be compared with operator==), plus an exact matrix comparison with
-// readable failure output.
+// can be compared with operator==), an exact matrix comparison with
+// readable failure output, and a one-shot per-scheme multiply.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "core/engine.hpp"
 #include "gen/rng.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/coo.hpp"
@@ -70,6 +71,19 @@ template <class IT, class VT>
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// One multiply of `s` through a fresh Engine: the per-scheme oracle, with
+/// no plan or result cached by an earlier call.
+template <class SR, class IT, class VT, class MT>
+CsrMatrix<IT, VT> run_fresh(Scheme s, const CsrMatrix<IT, VT>& a,
+                            const CsrMatrix<IT, VT>& b,
+                            const CsrMatrix<IT, MT>& m,
+                            MaskKind kind = MaskKind::kMask,
+                            MaskSemantics semantics =
+                                MaskSemantics::kStructural) {
+  Engine engine;
+  return engine.multiply_scheme<SR>(s, a, b, m, kind, semantics);
 }
 
 }  // namespace msp::testing

@@ -24,41 +24,49 @@ const std::vector<TricountVariant> kVariants = {
     TricountVariant::kSandiaLL, TricountVariant::kSandiaUU};
 
 TEST(TricountVariants, AgreeOnCompleteGraph) {
+  Engine engine;
   const auto k7 = complete_graph<IT, VT>(7);
   for (TricountVariant v : kVariants) {
-    EXPECT_EQ(triangle_count_variant(k7, v).triangles, 35)  // C(7,3)
+    EXPECT_EQ(triangle_count_variant(k7, v, Scheme::kMsa1P, engine).triangles,
+              35)  // C(7,3)
         << tricount_variant_name(v);
   }
 }
 
 TEST(TricountVariants, AgreeOnRmat) {
+  Engine engine;
   const auto g = rmat_graph<IT, VT>(9, 8.0);
-  const auto expected = triangle_count(g, Scheme::kMsa1P).triangles;
+  const auto expected = triangle_count(g, Scheme::kMsa1P, engine).triangles;
   for (TricountVariant v : kVariants) {
     for (Scheme s : {Scheme::kMsa1P, Scheme::kHash2P, Scheme::kHeap1P,
                      Scheme::kInner1P, Scheme::kSsSaxpy}) {
-      EXPECT_EQ(triangle_count_variant(g, v, s).triangles, expected)
+      EXPECT_EQ(triangle_count_variant(g, v, s, engine).triangles, expected)
           << tricount_variant_name(v) << " / " << scheme_name(s);
     }
   }
 }
 
 TEST(TricountVariants, AgreeOnRandomGraphs) {
+  Engine engine;
   for (std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
     const auto g = remove_diagonal(
         symmetrize(msp::testing::random_csr<IT, VT>(50, 50, 0.12, seed)));
-    const auto expected = triangle_count(g).triangles;
+    const auto expected = triangle_count(g, Scheme::kMsa1P, engine).triangles;
     for (TricountVariant v : kVariants) {
-      EXPECT_EQ(triangle_count_variant(g, v).triangles, expected)
+      EXPECT_EQ(
+          triangle_count_variant(g, v, Scheme::kMsa1P, engine).triangles,
+          expected)
           << tricount_variant_name(v) << " seed " << seed;
     }
   }
 }
 
 TEST(TricountVariants, ZeroOnTriangleFree) {
+  Engine engine;
   const auto g = petersen_graph<IT, VT>();
   for (TricountVariant v : kVariants) {
-    EXPECT_EQ(triangle_count_variant(g, v).triangles, 0)
+    EXPECT_EQ(triangle_count_variant(g, v, Scheme::kMsa1P, engine).triangles,
+              0)
         << tricount_variant_name(v);
   }
 }
@@ -67,9 +75,11 @@ TEST(TricountVariants, FlopCountsDifferButArePositive) {
   // Burkhardt uses the full adjacency on both sides, so it must cost more
   // flops than the triangular formulations on any graph with triangles.
   const auto g = rmat_graph<IT, VT>(9, 8.0);
-  const auto burkhardt =
-      triangle_count_variant(g, TricountVariant::kBurkhardt);
-  const auto sandia = triangle_count_variant(g, TricountVariant::kSandiaLL);
+  Engine engine;
+  const auto burkhardt = triangle_count_variant(
+      g, TricountVariant::kBurkhardt, Scheme::kMsa1P, engine);
+  const auto sandia = triangle_count_variant(g, TricountVariant::kSandiaLL,
+                                             Scheme::kMsa1P, engine);
   EXPECT_GT(burkhardt.flops, sandia.flops);
   EXPECT_GT(sandia.flops, 0);
 }

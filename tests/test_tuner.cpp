@@ -15,8 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "apps/tricount.hpp"
 #include "core/engine.hpp"
+#include "core/tiled_engine.hpp"
 #include "core/tuner.hpp"
+#include "gen/rmat.hpp"
 #include "test_support.hpp"
 
 namespace {
@@ -304,6 +307,48 @@ TEST(EngineTuned, BuilderAndBatchPathsBitIdentical) {
   EXPECT_TRUE(csr_equal(expected1,
                         tuned.multiply_scheme<PlusTimes<double>>(
                             Scheme::kAuto, a, b, m1)));
+}
+
+// The tiled path resolves kAuto through the same resolver as the
+// monolithic Engine, so under the committed profile a warm call takes the
+// warm-plan exact-phase upgrade on both: two-phase over the cached output
+// structure, so no one-phase bound and no assemble pass.
+TEST(EngineTuned, WarmTiledKAutoTakesExactPhaseLikeMonolithic) {
+  const tuner::TuneProfile profile = tuner::load_profile(
+      MSP_TUNE_PROFILE_PATH, /*require_machine_match=*/false);
+  const auto l = tricount_prepare(rmat_graph<int, double>(10, 8.0)).l;
+  const ShardedMatrix<int, double> lsh(l, 4);
+  using SR = PlusPair<double>;
+
+  Engine mono;
+  mono.tuned(profile);
+  TiledEngine tiled;
+  tiled.engine().tuned(profile);
+  MaskedSpgemmStats mono_cold, mono_warm, tiled_cold, tiled_warm;
+  const auto mono_c0 = mono.multiply_scheme<SR>(
+      Scheme::kAuto, l, l, l, MaskKind::kMask, MaskSemantics::kStructural,
+      &mono_cold);
+  const auto mono_c1 = mono.multiply_scheme<SR>(
+      Scheme::kAuto, l, l, l, MaskKind::kMask, MaskSemantics::kStructural,
+      &mono_warm);
+  const auto tiled_c0 = tiled.multiply<SR>(
+      Scheme::kAuto, lsh, l, lsh, MaskKind::kMask, MaskSemantics::kStructural,
+      &tiled_cold);
+  const auto tiled_c1 = tiled.multiply<SR>(
+      Scheme::kAuto, lsh, l, lsh, MaskKind::kMask, MaskSemantics::kStructural,
+      &tiled_warm);
+
+  // The cold calls pick one-phase (a sparse mask against many flops)...
+  EXPECT_GT(mono_cold.bound_nnz, 0u);
+  EXPECT_GT(tiled_cold.bound_nnz, 0u);
+  // ...and the warm calls upgrade to exact two-phase on both paths.
+  EXPECT_EQ(mono_warm.assemble_seconds, 0.0);
+  EXPECT_EQ(mono_warm.bound_nnz, 0u);
+  EXPECT_EQ(tiled_warm.assemble_seconds, 0.0);
+  EXPECT_EQ(tiled_warm.bound_nnz, 0u);
+  EXPECT_TRUE(csr_equal(mono_c0, mono_c1));
+  EXPECT_TRUE(csr_equal(mono_c0, tiled_c0));
+  EXPECT_TRUE(csr_equal(mono_c0, tiled_c1));
 }
 
 TEST(FlopsHistogram, BinsAndTotalsAreConsistent) {
