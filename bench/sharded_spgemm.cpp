@@ -10,7 +10,8 @@
 //  * shards-K      — TiledEngine over K row-block shards, all resident;
 //  * shards-4-budget — K = 4 with a ShardStore whose resident budget is
 //                    half of L's payload bytes (strictly smaller than the
-//                    operand), so every repetition spills and reloads.
+//                    operand), so every repetition reloads the shards the
+//                    previous one could not keep.
 //                    The store runs in cold-reads mode (blobs evicted from
 //                    the OS page cache after each write/read) and its
 //                    bandwidth is capped at MSP_SHARD_MBPS MiB/s (default
@@ -19,10 +20,9 @@
 //                    spill to, rather than a page-cache memcpy on a fast
 //                    VM disk. Async prefetch pipeline off;
 //  * shards-4-budget-pf — the same spill-bound configuration with the
-//                    pipeline on: shard k+1's reload overlaps shard k's
-//                    compute on the store's completion-queue worker, and
-//                    the last shard wraps around to prefetch shard 0 for
-//                    the next repetition.
+//                    pipeline on: the next spilled shard's reload overlaps
+//                    the current shard's compute on the store's
+//                    completion-queue worker.
 //
 // All tiled results are verified bit-identical to the monolithic one; the
 // ShardStore spill/reload counts per timed call make the out-of-core
@@ -111,9 +111,9 @@ int main() {
       // Twice the largest (balanced) shard: the documented minimum for
       // the prefetch pipeline to pay off — the pinned working set plus
       // one incoming shard always fit — yet at K = 4 only half of L, so
-      // every repetition spills and reloads. Cold + throttled reads:
-      // each reload pays the modeled storage-device cost, as a dataset
-      // that does not fit RAM would.
+      // every repetition spills and reloads some shards. Cold + throttled
+      // reads: each reload pays the modeled storage-device cost, as a
+      // dataset that does not fit RAM would.
       std::size_t max_shard = 0;
       {
         const ShardedMatrix<IT, VT> probe(l, ranges);

@@ -46,9 +46,10 @@ int main(int argc, char** argv) {
 
   // Shard-by-shard execution through the TiledEngine. B (= L, whole) is
   // bound once internally; each shard's plan lands in the engine's plan
-  // cache keyed by the shard fingerprint computed at split time. With the
-  // prefetch pipeline on, shard k+1's reload runs on the store's
-  // background worker while shard k computes.
+  // cache keyed by the shard fingerprint computed at split time. Resident
+  // shards run first; with the prefetch pipeline on, the next spilled
+  // shard's reload runs on the store's background worker while the
+  // current one computes.
   TiledEngine tiled;
   tiled.set_prefetch(prefetch);
   std::printf("prefetch pipeline: %s\n", prefetch ? "on" : "off");

@@ -24,14 +24,28 @@
 //  * eviction is least-recently-used and happens eagerly: whenever a pin,
 //    unpin, or completed prefetch leaves the unpinned resident set over
 //    budget, LRU shards are spilled until it fits (budget 0 therefore
-//    keeps only pinned shards resident);
+//    keeps only pinned shards resident). Recency is set by pins and by
+//    completed prefetches;
+//  * a lease released with `retire()` instead of its destructor tells the
+//    store the caller has consumed the shard for the rest of its pass: the
+//    shard moves to the cold end of the LRU, so every retired shard is
+//    evicted before any shard that was not retired since its last pin,
+//    and the most recently retired shard goes first. A tiled multiply
+//    retires each shard it has finished, so budget pressure falls on
+//    shards this call no longer needs rather than on the ones it has
+//    still to visit — including shards a previous call retired and left
+//    resident, which this call will visit again. A later pin makes the
+//    shard hot again;
 //  * shard payloads are immutable after the split, so each shard is
 //    written at most once — later evictions just drop the resident copy
-//    and later leases read the same blob back.
+//    and later leases read the same blob back. Blobs of iso-valued shards
+//    (every value bitwise equal, as in an unweighted pattern) store the
+//    value once; see `detail::ShardFileHeader`.
 //
 // Prefetch. `prefetch(id)` schedules a *background* reload of a spilled
 // shard on the store's completion-queue worker (core/async_io.hpp), so a
-// tiled multiply can overlap shard k+1's reload with shard k's compute.
+// tiled multiply can overlap the next shard's reload with the current
+// shard's compute.
 // The race semantics are deliberately simple and precise:
 //
 //  * prefetching a shard that is resident, already loading, or dead is a
@@ -91,19 +105,36 @@ namespace msp {
 
 namespace detail {
 
-/// Binary shard blob layout: a fixed header (magic, element widths, shape)
-/// followed by the raw rowptr/colids/values arrays. The header and the
-/// blob size are checked on deserialize so a stray, corrupt, or truncated
-/// blob fails loudly (typed io_error) instead of producing a malformed
-/// matrix.
+/// Binary shard blob layout: a fixed header (magic, element widths, shape,
+/// flags) followed by the raw rowptr/colids arrays and the values. When
+/// every value is bitwise equal to the first (an unweighted graph pattern:
+/// all 1.0), the header carries `kShardIsoValues` and the blob stores that
+/// one value instead of nnz copies — the iso-valued matrices of
+/// SuiteSparse:GraphBLAS. The header and the blob size are checked on
+/// deserialize so a stray, corrupt, or truncated blob fails loudly (typed
+/// io_error) instead of producing a malformed matrix.
+inline constexpr std::uint64_t kShardIsoValues = 1;
+
 struct ShardFileHeader {
-  std::uint64_t magic = 0x4d53505348415244ULL;  // "MSPSHARD"
+  std::uint64_t magic = 0x4d53505348415232ULL;  // "MSPSHAR2"
   std::uint32_t it_bytes = 0;
   std::uint32_t vt_bytes = 0;
   std::int64_t nrows = 0;
   std::int64_t ncols = 0;
   std::uint64_t nnz = 0;
+  std::uint64_t flags = 0;
 };
+
+/// True when every value is bitwise equal to the first. memcmp rather than
+/// ==: +0.0 and -0.0 (equal) or two NaN payloads (unequal to themselves)
+/// must round-trip exactly as stored.
+template <class VT>
+bool iso_values(const std::vector<VT>& values) {
+  for (std::size_t i = 1; i < values.size(); ++i) {
+    if (std::memcmp(&values[i], &values[0], sizeof(VT)) != 0) return false;
+  }
+  return !values.empty();
+}
 
 template <class IT, class VT>
 std::vector<std::byte> serialize_shard(const CsrMatrix<IT, VT>& m) {
@@ -113,9 +144,12 @@ std::vector<std::byte> serialize_shard(const CsrMatrix<IT, VT>& m) {
   h.nrows = static_cast<std::int64_t>(m.nrows);
   h.ncols = static_cast<std::int64_t>(m.ncols);
   h.nnz = static_cast<std::uint64_t>(m.nnz());
+  const bool iso = iso_values(m.values);
+  if (iso) h.flags |= kShardIsoValues;
+  const std::size_t va_count = iso ? 1 : m.values.size();
   std::vector<std::byte> buf(sizeof(h) + m.rowptr.size() * sizeof(IT) +
                              m.colids.size() * sizeof(IT) +
-                             m.values.size() * sizeof(VT));
+                             va_count * sizeof(VT));
   std::byte* p = buf.data();
   std::memcpy(p, &h, sizeof(h));
   p += sizeof(h);
@@ -128,9 +162,7 @@ std::vector<std::byte> serialize_shard(const CsrMatrix<IT, VT>& m) {
     std::memcpy(p, m.colids.data(), m.colids.size() * sizeof(IT));
   }
   p += m.colids.size() * sizeof(IT);
-  if (!m.values.empty()) {
-    std::memcpy(p, m.values.data(), m.values.size() * sizeof(VT));
-  }
+  if (va_count != 0) std::memcpy(p, m.values.data(), va_count * sizeof(VT));
   return buf;
 }
 
@@ -147,21 +179,26 @@ CsrMatrix<IT, VT> deserialize_shard(const std::byte* data, std::size_t size,
   // crafted count can neither truncate nor wrap the byte sizes below.
   constexpr auto it_max =
       static_cast<std::uint64_t>(std::numeric_limits<IT>::max());
+  const bool iso = (h.flags & kShardIsoValues) != 0;
   if (h.magic != ShardFileHeader{}.magic || h.it_bytes != sizeof(IT) ||
       h.vt_bytes != sizeof(VT) || h.nrows < 0 || h.ncols < 0 ||
       static_cast<std::uint64_t>(h.nrows) > it_max ||
-      static_cast<std::uint64_t>(h.ncols) > it_max || h.nnz > it_max) {
+      static_cast<std::uint64_t>(h.ncols) > it_max || h.nnz > it_max ||
+      (h.flags & ~kShardIsoValues) != 0 || (iso && h.nnz == 0)) {
     throw io_error("ShardStore: malformed shard blob: " + what);
   }
   const std::size_t payload = size - sizeof(h);
+  // An iso blob stores colids for every entry but a single value.
+  const std::size_t per_entry = sizeof(IT) + (iso ? 0 : sizeof(VT));
   if (static_cast<std::uint64_t>(h.nrows) >= payload / sizeof(IT) ||
-      h.nnz > payload / (sizeof(IT) + sizeof(VT))) {
+      h.nnz > payload / per_entry) {
     throw io_error("ShardStore: truncated shard blob: " + what);
   }
   const std::size_t rp_bytes =
       (static_cast<std::size_t>(h.nrows) + 1) * sizeof(IT);
   const std::size_t ci_bytes = static_cast<std::size_t>(h.nnz) * sizeof(IT);
-  const std::size_t va_bytes = static_cast<std::size_t>(h.nnz) * sizeof(VT);
+  const std::size_t va_bytes =
+      (iso ? 1 : static_cast<std::size_t>(h.nnz)) * sizeof(VT);
   if (payload < rp_bytes + ci_bytes + va_bytes) {
     throw io_error("ShardStore: truncated shard blob: " + what);
   }
@@ -174,7 +211,14 @@ CsrMatrix<IT, VT> deserialize_shard(const std::byte* data, std::size_t size,
   p += rp_bytes;
   if (ci_bytes != 0) std::memcpy(colids.data(), p, ci_bytes);
   p += ci_bytes;
-  if (va_bytes != 0) std::memcpy(values.data(), p, va_bytes);
+  if (iso) {
+    // nnz >= 1 was checked above; copies of a trivially copyable VT keep
+    // the stored bits.
+    std::memcpy(values.data(), p, sizeof(VT));
+    std::fill(values.begin() + 1, values.end(), values[0]);
+  } else if (va_bytes != 0) {
+    std::memcpy(values.data(), p, va_bytes);
+  }
   CsrMatrix<IT, VT> out(static_cast<IT>(h.nrows), static_cast<IT>(h.ncols),
                         std::move(rowptr), std::move(colids),
                         std::move(values));
@@ -393,7 +437,9 @@ class ShardStore {
     bool dead = false;        ///< unregistered (tombstone: ids stay stable)
     bool prefetched = false;  ///< resident payload came from an unclaimed prefetch
     int pins = 0;
-    std::uint64_t tick = 0;
+    /// LRU position: pins and prefetches stamp +tick_, retires -tick_, so
+    /// the smallest value is the next victim.
+    std::int64_t tick = 0;
     std::string key;
     std::function<void(StorageBackend&, const std::string&)> save;
     std::function<Staged(StorageBackend&, const std::string&)> fetch;
@@ -476,13 +522,16 @@ class ShardStore {
   /// Called from lease destructors, so eviction-write failures cannot
   /// propagate: the victim then simply stays resident (over budget) and
   /// the next enforcement retries the save — or an explicit spill_all
-  /// surfaces the error.
-  void unpin(std::size_t id) noexcept {
+  /// surfaces the error. `consumed` (ShardLease::retire) moves the shard to
+  /// the cold end of the LRU, below every pin, prefetch and earlier
+  /// retire.
+  void unpin(std::size_t id, bool consumed) noexcept {
     std::lock_guard<std::mutex> lk(mu_);
     MSP_ASSERT(id < entries_.size());
     Entry& e = entries_[id];
     MSP_ASSERT(e.pins > 0);
     --e.pins;
+    if (consumed) e.tick = -++tick_;
     try {
       enforce();
     } catch (...) {
@@ -650,7 +699,7 @@ class ShardStore {
   std::condition_variable cv_;
   std::deque<Entry> entries_;  // deque: entry refs survive concurrent add()
   std::size_t resident_bytes_ = 0;
-  std::uint64_t tick_ = 0;
+  std::int64_t tick_ = 0;
   Stats stats_;
   std::unique_ptr<AsyncOpGroup> async_;  // lazy; destroyed first in ~ShardStore
 };
@@ -675,7 +724,7 @@ class ShardLease {
         keepalive_(std::move(o.keepalive_)) {}
   ShardLease& operator=(ShardLease&& o) noexcept {
     if (this != &o) {
-      release();
+      release(false);
       store_ = std::exchange(o.store_, nullptr);
       slot_ = std::move(o.slot_);
       id_ = o.id_;
@@ -685,7 +734,7 @@ class ShardLease {
   }
   ShardLease(const ShardLease&) = delete;
   ShardLease& operator=(const ShardLease&) = delete;
-  ~ShardLease() { release(); }
+  ~ShardLease() { release(false); }
 
   [[nodiscard]] const CsrMatrix<IT, VT>& matrix() const {
     MSP_ASSERT(slot_ != nullptr &&
@@ -694,6 +743,12 @@ class ShardLease {
   }
   const CsrMatrix<IT, VT>& operator*() const { return matrix(); }
   const CsrMatrix<IT, VT>* operator->() const { return &matrix(); }
+
+  /// Release the pin now, hinting that the holder has consumed the shard
+  /// for the rest of its pass: the store evicts it before shards that were
+  /// not retired (see the LRU contract in the file comment). The lease is
+  /// empty afterwards.
+  void retire() { release(/*consumed=*/true); }
 
  private:
   friend class ShardedMatrix<IT, VT>;
@@ -706,8 +761,8 @@ class ShardLease {
         id_(id),
         keepalive_(std::move(keepalive)) {}
 
-  void release() {
-    if (store_ != nullptr && slot_ != nullptr) store_->unpin(id_);
+  void release(bool consumed) {
+    if (store_ != nullptr && slot_ != nullptr) store_->unpin(id_, consumed);
     store_ = nullptr;
     slot_ = nullptr;
     keepalive_ = nullptr;  // after unpin: registrations die with pins == 0

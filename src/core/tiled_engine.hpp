@@ -21,12 +21,19 @@
 //    kernel in the library is row-wise, so row blocks compute exactly the
 //    rows the monolithic call would.
 //
-//  * when the shards live in a spill-capable ShardStore, the engine
-//    prefetches shard k+1's A and M blocks (background reload on the
-//    store's completion-queue worker) while shard k computes, hiding the
-//    cold-shard reload stall; `set_prefetch(false)` serializes the I/O
-//    again. Either way the result is bit-identical — prefetch changes
-//    residency timing, never payload bytes.
+//  * when the shards live in a spill-capable ShardStore, a call visits
+//    first the shards whose A and M payloads are resident, then the
+//    spilled ones, each group in index order, and retires both leases of
+//    each shard once it has computed (ShardLease::retire). Retired shards
+//    sit at the cold end of the store's LRU, so the reloads a call pays
+//    displace shards it has finished rather than shards it has still to
+//    visit, and a warm repeat call reloads only what the budget could not
+//    keep. While one shard computes, the engine prefetches the next shard
+//    in visit order (a background reload on the store's completion-queue
+//    worker; a no-op for a resident shard), hiding the reload stall;
+//    `set_prefetch(false)` serializes the I/O again. Each result lands in
+//    its shard's slot, so neither the visit order nor prefetch changes a
+//    bit of the stitched product or of the call's stats.
 //
 // Shard-level accounting (calls, shard multiplies, ShardStore spills,
 // reloads, and prefetch hit/wasted counts observed during them) lands in
@@ -61,10 +68,11 @@ class TiledEngine {
     return engine_.cache_stats();
   }
 
-  /// Prefetch-ahead: while shard k computes, ask the stores to reload
-  /// shard k+1's A and M blocks in the background (ShardStore::prefetch).
-  /// On by default — results are bit-identical either way, only residency
-  /// timing changes; disable to measure or to serialize all I/O.
+  /// Prefetch-ahead: while one shard computes, ask the stores to reload
+  /// the A and M blocks of the next shard in visit order in the background
+  /// (ShardStore::prefetch). On by default — results are bit-identical
+  /// either way, only residency timing changes; disable to measure or to
+  /// serialize all I/O.
   void set_prefetch(bool enabled) { prefetch_ = enabled; }
   [[nodiscard]] bool prefetch_enabled() const { return prefetch_; }
 
@@ -132,8 +140,7 @@ class TiledEngine {
 
     const bool valued = semantics == MaskSemantics::kValued;
     const int k = a.shards();
-    std::vector<CsrMatrix<IT, VT>> parts;
-    parts.reserve(static_cast<std::size_t>(k));
+    std::vector<CsrMatrix<IT, VT>> parts(static_cast<std::size_t>(k));
     MaskedSpgemmStats agg;
     // Planless baselines report no cache hit / symbolic skip, exactly like
     // the monolithic Engine's SS path; for planful schemes the flags start
@@ -143,56 +150,65 @@ class TiledEngine {
     agg.plan_cache_hit = !planless;
     agg.symbolic_skipped = !planless;
 
-    for (int s = 0; s < k; ++s) {
-      const ShardLease<IT, VT> as = a.lease(s);
-      const ShardLease<IT, MT> ms = m.lease(s);
-      if (prefetch_ && k > 1) {
+    // Resident shards first, then spilled ones, each group in index order:
+    // a warm call computes what the store kept before reloading anything.
+    std::vector<int> order;
+    order.reserve(static_cast<std::size_t>(k));
+    for (const bool resident : {true, false}) {
+      for (int s = 0; s < k; ++s) {
+        if ((a.resident(s) && m.resident(s)) == resident) order.push_back(s);
+      }
+    }
+
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const int s = order[i];
+      ShardLease<IT, VT> as = a.lease(s);
+      ShardLease<IT, MT> ms = m.lease(s);
+      if (prefetch_ && i + 1 < order.size()) {
         // Overlap the next shard's reload with this shard's compute. The
-        // current leases pin the working set, so the incoming payloads
-        // can only displace idle shards. The last shard wraps around and
-        // prefetches shard 0: iterative callers (bc/ktruss-style repeated
-        // multiplies, bench repetitions) then enter the next call with
-        // every reload pipelined; for a one-shot call it is at worst one
-        // wasted background reload.
-        const int next = s + 1 < k ? s + 1 : 0;
-        a.prefetch(next);
-        m.prefetch(next);
+        // current leases pin the working set and every shard visited so
+        // far is retired, so the incoming payloads displace finished
+        // shards first. Prefetching a spilled shard any earlier could
+        // displace a resident shard this call has yet to visit.
+        a.prefetch(order[i + 1]);
+        m.prefetch(order[i + 1]);
       }
 
+      CsrMatrix<IT, VT>& part = parts[static_cast<std::size_t>(s)];
       if (planless) {
         agg.total_flops += total_flops(*as, b);
-        parts.push_back(
-            Engine::run_baseline<SR>(scheme, *as, b, *ms, kind, semantics));
-        continue;
+        part = Engine::run_baseline<SR>(scheme, *as, b, *ms, kind, semantics);
+      } else {
+        SpgemmOperandHints<IT, VT> hints;
+        hints.fa = a.fingerprint(s);
+        hints.fb = bh->fingerprint();
+        hints.fm = valued ? m.valued_fingerprint(s) : m.fingerprint(s);
+        hints.flops = flops_for(*hints.fa, *hints.fb, *as, b);
+
+        MaskedSpgemmOptions opt;
+        opt.mask_kind = kind;
+        opt.mask_semantics = semantics;
+        // kAuto resolves per shard — each shard's flops histogram and mask
+        // density get their own decision, through the same resolver (and
+        // calibrated selector) as the monolithic Engine call.
+        tuner::AutoDecision decision;
+        engine_.resolve_options(
+            scheme, hints.flops.get(), ms->nnz(),
+            static_cast<std::int64_t>(ms->nrows),
+            static_cast<std::int64_t>(ms->ncols), kind, nullptr, decision,
+            opt);
+        if (opt.algorithm == MaskedAlgorithm::kInner) {
+          hints.b_csc = bh->csc_cache();
+          hints.b_values_version = bh->values_version();
+        }
+
+        MaskedSpgemmStats shard_stats;
+        opt.stats = &shard_stats;
+        part = engine_.context().multiply<SR>(*as, b, *ms, opt, &hints);
+        absorb_shard(agg, shard_stats);
       }
-
-      SpgemmOperandHints<IT, VT> hints;
-      hints.fa = a.fingerprint(s);
-      hints.fb = bh->fingerprint();
-      hints.fm = valued ? m.valued_fingerprint(s) : m.fingerprint(s);
-      hints.flops = flops_for(*hints.fa, *hints.fb, *as, b);
-
-      MaskedSpgemmOptions opt;
-      opt.mask_kind = kind;
-      opt.mask_semantics = semantics;
-      // kAuto resolves per shard — each shard's flops histogram and mask
-      // density get their own decision, through the same resolver (and
-      // calibrated selector) as the monolithic Engine call.
-      tuner::AutoDecision decision;
-      engine_.resolve_options(
-          scheme, hints.flops.get(), ms->nnz(),
-          static_cast<std::int64_t>(ms->nrows),
-          static_cast<std::int64_t>(ms->ncols), kind, nullptr, decision, opt);
-      if (opt.algorithm == MaskedAlgorithm::kInner) {
-        hints.b_csc = bh->csc_cache();
-        hints.b_values_version = bh->values_version();
-      }
-
-      MaskedSpgemmStats shard_stats;
-      opt.stats = &shard_stats;
-      parts.push_back(
-          engine_.context().multiply<SR>(*as, b, *ms, opt, &hints));
-      absorb_shard(agg, shard_stats);
+      as.retire();
+      ms.retire();
     }
 
     std::size_t spills1 = 0;

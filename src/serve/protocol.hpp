@@ -9,9 +9,11 @@
 // `WireWriter` and decoded with `WireReader` (both bounds-checked: a short
 // or oversized payload surfaces as a typed `io_error`, never as an
 // out-of-bounds read). Matrices travel as shard blobs — the exact
-// `detail::serialize_shard` format the spill layer already round-trips —
+// `detail::serialize_shard` format the spill layer already round-trips,
+// iso-valued blobs (one stored value, `detail::kShardIsoValues`) included —
 // so the socket path and the storage path share one serializer and one set
-// of corruption checks.
+// of corruption checks. Version 2 of the protocol is the first to carry the
+// header's flags word; a version-1 peer is refused at kHello.
 //
 // Message flow (coordinator ↔ worker k):
 //
@@ -63,7 +65,7 @@
 namespace msp::serve {
 
 inline constexpr std::uint32_t kFrameMagic = 0x4d535056u;  // "MSPV"
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Upper bound on one frame's payload — far above any real query batch,
 /// low enough that a corrupt length field fails fast instead of
 /// attempting a multi-terabyte allocation.
@@ -326,10 +328,15 @@ class WireReader {
   [[nodiscard]] bool exhausted() const { return p_ == end_; }
 
  private:
+  // The throw sits in a separate noreturn function so the optimizer sees
+  // every read that follows `require` guarded by the bounds check (inlined
+  // throws otherwise trip gcc's -Warray-bounds on constant-size payloads).
   void require(std::uint64_t n) const {
-    if (n > static_cast<std::uint64_t>(end_ - p_)) {
-      throw io_error("serve: short payload (truncated message)");
-    }
+    if (n > static_cast<std::uint64_t>(end_ - p_)) short_payload();
+  }
+
+  [[noreturn]] [[gnu::cold]] static void short_payload() {
+    throw io_error("serve: short payload (truncated message)");
   }
 
   template <class T>

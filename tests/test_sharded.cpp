@@ -560,6 +560,159 @@ TEST(ShardedEdge, PrefetchPipelineIsBitIdenticalAndCounted) {
   }
 }
 
+/// Spilled store entries behind an aligned operand/mask pair; a shard
+/// that serves as both counts once.
+std::size_t spilled_entries(const ShardedMatrix<int, double>& a,
+                            const ShardedMatrix<int, double>& m) {
+  std::size_t n = 0;
+  for (int s = 0; s < a.shards(); ++s) {
+    n += a.resident(s) ? 0 : 1;
+    if (&m != &a) n += m.resident(s) ? 0 : 1;
+  }
+  return n;
+}
+
+TEST(ShardedOrder, WarmCallReloadsOnlyWhatWasSpilled) {
+  // A store half the size of the shards: an index-order sweep over an
+  // LRU store keeps nothing across calls and reloads every shard. With
+  // resident shards first and finished shards retired, a warm call must
+  // reload exactly the entries spilled when it began. Two shapes: L as
+  // operand and mask at once (the tricount product), and a separate mask
+  // whose shards start half resident.
+  const auto l = random_csr<int, double>(96, 96, 0.15, 811);
+  const auto m = random_csr<int, double>(96, 96, 0.2, 812);
+  const int k = 8;
+  for (const bool shared : {true, false}) {
+    SCOPED_TRACE(shared ? "L as operand and mask" : "separate mask");
+    const auto& mask = shared ? l : m;
+    Engine mono;
+    const auto expected =
+        mono.multiply_scheme<PlusTimes<double>>(Scheme::kMsa2P, l, l, mask);
+    ShardStore::Options so;
+    {
+      const ShardedMatrix<int, double> probe(l, k);
+      so.resident_budget =
+          (probe.total_bytes() +
+           (shared ? 0 : ShardedMatrix<int, double>(m, probe).total_bytes())) /
+          2;
+    }
+    ShardStore store(so);
+    const ShardedMatrix<int, double> l_sh(l, k, &store);
+    std::unique_ptr<ShardedMatrix<int, double>> m_own;
+    if (!shared) {
+      m_own = std::make_unique<ShardedMatrix<int, double>>(m, l_sh, &store);
+    }
+    const ShardedMatrix<int, double>& m_sh = shared ? l_sh : *m_own;
+    const std::size_t entries = static_cast<std::size_t>(shared ? k : 2 * k);
+    TiledEngine tiled;
+    tiled.set_prefetch(false);
+    (void)tiled.multiply<PlusTimes<double>>(Scheme::kMsa2P, l_sh, l, m_sh);
+    if (!shared) {
+      // Leave every shard half resident: the operand's upper shards and
+      // the mask's lower ones. The resident halves of shards still to be
+      // visited must outlast the shards a call has finished.
+      store.spill_all();
+      for (int s = 0; s < k / 2; ++s) {
+        (void)l_sh.lease(k / 2 + s);
+        (void)m_sh.lease(s);
+      }
+    }
+    for (int call = 0; call < 3; ++call) {
+      SCOPED_TRACE("warm call " + std::to_string(call));
+      const std::size_t spilled = spilled_entries(l_sh, m_sh);
+      ASSERT_GT(spilled, 0u);
+      const std::size_t reloads0 = store.stats().reloads;
+      const auto got =
+          tiled.multiply<PlusTimes<double>>(Scheme::kMsa2P, l_sh, l, m_sh);
+      EXPECT_TRUE(csr_equal(expected, got));
+      EXPECT_EQ(store.stats().reloads - reloads0, spilled);
+      EXPECT_LT(spilled, entries);
+    }
+  }
+}
+
+TEST(ShardedOrder, PrefetchedRepeatCallsStayBitIdentical) {
+  // The tricount shape of the out-of-core benchmark: L is operand, B and
+  // mask at once, its shards in a store half its size, prefetch on. The
+  // resident shards run first while the first spilled one is prefetched,
+  // so every reload of a call is a prefetch hit — no call starts with a
+  // synchronous reload.
+  const auto l = random_csr<int, double>(128, 128, 0.12, 821);
+  const int k = 8;
+  Engine mono;
+  MaskedSpgemmStats mono_stats;
+  const auto expected = mono.multiply_scheme<PlusTimes<double>>(
+      Scheme::kAuto, l, l, l, MaskKind::kMask, MaskSemantics::kStructural,
+      &mono_stats);
+
+  ShardStore::Options so;
+  so.resident_budget = ShardedMatrix<int, double>(l, k).total_bytes() / 2;
+  ShardStore store(so);
+  const ShardedMatrix<int, double> l_sh(
+      l, ShardedMatrix<int, double>::balanced_ranges(l, k), &store);
+  TiledEngine tiled;
+  for (int call = 0; call < 5; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    const std::size_t reloads0 = store.stats().reloads;
+    const std::size_t hits0 = store.stats().prefetch_hits;
+    MaskedSpgemmStats st;
+    const auto got = tiled.multiply<PlusTimes<double>>(
+        Scheme::kAuto, l_sh, l, l_sh, MaskKind::kMask,
+        MaskSemantics::kStructural, &st);
+    EXPECT_TRUE(csr_equal(expected, got));
+    EXPECT_EQ(st.total_flops, mono_stats.total_flops);
+    EXPECT_EQ(st.output_nnz, mono_stats.output_nnz);
+    const std::size_t reloads = store.stats().reloads - reloads0;
+    EXPECT_GT(reloads, 0u);
+    EXPECT_LT(reloads, static_cast<std::size_t>(k));
+    EXPECT_EQ(store.stats().prefetch_hits - hits0, reloads);
+  }
+  EXPECT_EQ(store.stats().prefetch_wasted.load(), 0u);
+}
+
+TEST(ShardedOrder, RetiredLeasesAreEvictedFirst) {
+  // Four equal shards (two rows of two entries each) under a budget of two
+  // unpinned shards. Pin 2 then 3, so 2 is least recently used, and hand
+  // both back. The next shard brought in displaces one of them: 2 under
+  // plain LRU, 3 when 3 was retired (retired beats recency), and 3 again
+  // when 2 and then 3 were retired (the most recent retire goes first).
+  std::vector<int> rowptr;
+  std::vector<int> colids;
+  for (int i = 0; i <= 8; ++i) rowptr.push_back(2 * i);
+  for (int i = 0; i < 8; ++i) {
+    colids.push_back(std::min(i, (i + 1) % 8));
+    colids.push_back(std::max(i, (i + 1) % 8));
+  }
+  const CsrMatrix<int, double> a(8, 8, rowptr, colids,
+                                 std::vector<double>(16, 1.0));
+  struct Case {
+    const char* name;
+    bool retire2;
+    bool retire3;
+    int evicted;
+  };
+  for (const Case c : {Case{"plain release", false, false, 2},
+                       Case{"3 retired", false, true, 3},
+                       Case{"2 then 3 retired", true, true, 3}}) {
+    SCOPED_TRACE(c.name);
+    ShardStore::Options so;
+    so.resident_budget = 2 * ShardedMatrix<int, double>(a, 4).bytes(0);
+    ShardStore store(so);
+    const ShardedMatrix<int, double> sh(a, 4, &store);
+    ASSERT_TRUE(sh.resident(2) && sh.resident(3));  // 0 and 1 were evicted
+    {
+      auto l2 = sh.lease(2);
+      auto l3 = sh.lease(3);
+      if (c.retire2) l2.retire();
+      if (c.retire3) l3.retire();
+    }
+    { const auto l0 = sh.lease(0); }  // reload: one shard over budget
+    EXPECT_TRUE(sh.resident(0));
+    EXPECT_EQ(sh.resident(2), c.evicted != 2);
+    EXPECT_EQ(sh.resident(3), c.evicted != 3);
+  }
+}
+
 TEST(ShardedEdge, ShortLivedShardsReleaseTheirStoreEntries) {
   // The per-expansion bc pattern: a long-lived store fed by short-lived
   // sharded matrices. Dead splits must release their resident accounting

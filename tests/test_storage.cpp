@@ -606,4 +606,143 @@ TEST(StorageRegression, CraftedShardShapeBeyondIndexTypeIsTypedError) {
   EXPECT_EQ(m.ncols, std::int64_t{1} << 40);
 }
 
+// ---------------------------------------------------------------------------
+// Iso-valued shard blobs: when every value is bitwise equal to the first,
+// the blob stores that value once (header flag kShardIsoValues). Any other
+// shard keeps its full value array, and both decode bit-identically.
+// ---------------------------------------------------------------------------
+
+using IsoCsr = CsrMatrix<int, double>;
+
+/// Header + rowptr + colids + `values` stored values.
+std::size_t shard_blob_size(const IsoCsr& m, std::size_t values) {
+  return sizeof(detail::ShardFileHeader) + m.rowptr.size() * sizeof(int) +
+         m.colids.size() * sizeof(int) + values * sizeof(double);
+}
+
+/// Serialize, decode, and require every stored bit back — values compared
+/// with memcmp, so -0.0 and NaN payloads count.
+void round_trip_bitwise(const IsoCsr& m) {
+  const std::vector<std::byte> blob = detail::serialize_shard(m);
+  const IsoCsr back = detail::deserialize_shard<int, double>(
+      blob.data(), blob.size(), "iso");
+  EXPECT_EQ(back.nrows, m.nrows);
+  EXPECT_EQ(back.ncols, m.ncols);
+  EXPECT_EQ(back.rowptr, m.rowptr);
+  EXPECT_EQ(back.colids, m.colids);
+  EXPECT_EQ(back.values.size(), m.values.size());
+  if (back.values.size() == m.values.size() && !m.values.empty()) {
+    EXPECT_EQ(std::memcmp(back.values.data(), m.values.data(),
+                          m.values.size() * sizeof(double)),
+              0);
+  }
+}
+
+double nan_with_payload(std::uint64_t payload) {
+  const std::uint64_t bits = 0x7ff8000000000000ULL | payload;
+  double d = 0;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+std::uint64_t blob_flags(const std::vector<std::byte>& blob) {
+  detail::ShardFileHeader h;
+  std::memcpy(&h, blob.data(), sizeof(h));
+  return h.flags;
+}
+
+TEST(ShardBlob, IsoValuedShardStoresOneValue) {
+  IsoCsr m = random_csr<int, double>(40, 30, 0.3, 1201);
+  ASSERT_GT(m.nnz(), 1);
+  std::fill(m.values.begin(), m.values.end(), 1.0);
+  const std::vector<std::byte> blob = detail::serialize_shard(m);
+  EXPECT_EQ(blob.size(), shard_blob_size(m, 1));
+  EXPECT_EQ(blob_flags(blob), detail::kShardIsoValues);
+  round_trip_bitwise(m);
+}
+
+TEST(ShardBlob, NonIsoValuesKeepTheFullArray) {
+  const IsoCsr base = random_csr<int, double>(40, 30, 0.3, 1202);
+  ASSERT_GT(base.nnz(), 2);
+  const auto expect_full = [](const IsoCsr& m, const char* what) {
+    SCOPED_TRACE(what);
+    const std::vector<std::byte> blob = detail::serialize_shard(m);
+    EXPECT_EQ(blob.size(), shard_blob_size(m, m.values.size()));
+    EXPECT_EQ(blob_flags(blob), 0u);
+    round_trip_bitwise(m);
+  };
+
+  IsoCsr one_differs = base;
+  std::fill(one_differs.values.begin(), one_differs.values.end(), 1.0);
+  one_differs.values.back() = 2.0;
+  expect_full(one_differs, "a single differing value");
+
+  // +0.0 == -0.0, but the bits differ and must survive.
+  IsoCsr signed_zero = base;
+  std::fill(signed_zero.values.begin(), signed_zero.values.end(), 0.0);
+  signed_zero.values[1] = -0.0;
+  expect_full(signed_zero, "+0.0 next to -0.0");
+
+  // Two NaNs with different payloads: unequal bits, never merged.
+  IsoCsr nans = base;
+  std::fill(nans.values.begin(), nans.values.end(), nan_with_payload(1));
+  nans.values[1] = nan_with_payload(2);
+  expect_full(nans, "two NaN payloads");
+
+  // One NaN payload throughout is iso (memcmp-equal, although NaN != NaN).
+  IsoCsr iso_nan = base;
+  std::fill(iso_nan.values.begin(), iso_nan.values.end(), nan_with_payload(7));
+  EXPECT_EQ(detail::serialize_shard(iso_nan).size(),
+            shard_blob_size(iso_nan, 1));
+  round_trip_bitwise(iso_nan);
+}
+
+TEST(ShardBlob, EmptyAndOneEntryShards) {
+  const IsoCsr empty(5, 7);
+  const std::vector<std::byte> eblob = detail::serialize_shard(empty);
+  EXPECT_EQ(eblob.size(), shard_blob_size(empty, 0));
+  EXPECT_EQ(blob_flags(eblob), 0u);  // iso needs a value to store
+  round_trip_bitwise(empty);
+  round_trip_bitwise(IsoCsr(0, 0));
+
+  const IsoCsr one(3, 4, {0, 0, 1, 1}, {2}, {-0.0});
+  const std::vector<std::byte> oblob = detail::serialize_shard(one);
+  EXPECT_EQ(oblob.size(), shard_blob_size(one, 1));
+  EXPECT_EQ(blob_flags(oblob), detail::kShardIsoValues);
+  round_trip_bitwise(one);
+}
+
+TEST(ShardBlob, CraftedFlagsAreTypedErrors) {
+  IsoCsr m = random_csr<int, double>(12, 12, 0.4, 1203);
+  ASSERT_GT(m.nnz(), 0);
+  std::fill(m.values.begin(), m.values.end(), 1.0);
+  const std::vector<std::byte> iso = detail::serialize_shard(m);
+  ASSERT_EQ(blob_flags(iso), detail::kShardIsoValues);
+  const auto with_flags = [](std::vector<std::byte> blob, std::uint64_t f) {
+    detail::ShardFileHeader h;
+    std::memcpy(&h, blob.data(), sizeof(h));
+    h.flags = f;
+    std::memcpy(blob.data(), &h, sizeof(h));
+    return blob;
+  };
+
+  // Unknown flag bits, alone or beside the iso bit.
+  expect_shard_decode_io_error<int>(with_flags(iso, 2));
+  expect_shard_decode_io_error<int>(
+      with_flags(iso, detail::kShardIsoValues | (std::uint64_t{1} << 63)));
+  // Iso with nnz == 0: there is no value to replicate.
+  auto empty_iso = crafted_shard_blob<int, double>(2, 4, 0,
+                                                   3 * sizeof(int) +
+                                                       sizeof(double));
+  expect_shard_decode_io_error<int>(
+      with_flags(std::move(empty_iso), detail::kShardIsoValues));
+  // An iso payload one byte short of its single value.
+  std::vector<std::byte> short_iso = iso;
+  short_iso.pop_back();
+  expect_shard_decode_io_error<int>(short_iso);
+  // The untouched blob still decodes.
+  EXPECT_NO_THROW((void)(detail::deserialize_shard<int, double>(
+      iso.data(), iso.size(), "crafted")));
+}
+
 }  // namespace
