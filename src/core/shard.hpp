@@ -25,17 +25,12 @@
 //    unpin, or completed prefetch leaves the unpinned resident set over
 //    budget, LRU shards are spilled until it fits (budget 0 therefore
 //    keeps only pinned shards resident). Recency is set by pins and by
-//    completed prefetches;
-//  * a lease released with `retire()` instead of its destructor tells the
-//    store the caller has consumed the shard for the rest of its pass: the
-//    shard moves to the cold end of the LRU, so every retired shard is
-//    evicted before any shard that was not retired since its last pin,
-//    and the most recently retired shard goes first. A tiled multiply
-//    retires each shard it has finished, so budget pressure falls on
-//    shards this call no longer needs rather than on the ones it has
-//    still to visit — including shards a previous call retired and left
-//    resident, which this call will visit again. A later pin makes the
-//    shard hot again;
+//    completed prefetches. A tiled multiply visits the shards whose
+//    operand and mask blocks are both resident before the others, so once
+//    it starts reloading, the least recently used shards are ones it has
+//    finished. The exception is a resident block whose partner block is
+//    spilled (a mask split apart from its operand): it waits for the
+//    second group and can be displaced, and reloaded, before its visit;
 //  * shard payloads are immutable after the split, so each shard is
 //    written at most once — later evictions just drop the resident copy
 //    and later leases read the same blob back. Blobs of iso-valued shards
@@ -199,8 +194,12 @@ CsrMatrix<IT, VT> deserialize_shard(const std::byte* data, std::size_t size,
   const std::size_t ci_bytes = static_cast<std::size_t>(h.nnz) * sizeof(IT);
   const std::size_t va_bytes =
       (iso ? 1 : static_cast<std::size_t>(h.nnz)) * sizeof(VT);
-  if (payload < rp_bytes + ci_bytes + va_bytes) {
-    throw io_error("ShardStore: truncated shard blob: " + what);
+  // Exact size, not a lower bound: trailing bytes mean the header does not
+  // describe the blob (a flipped iso bit on a full-valued blob, say), and
+  // decoding it anyway would yield wrong values without an error.
+  if (payload != rp_bytes + ci_bytes + va_bytes) {
+    throw io_error("ShardStore: shard blob size does not match its header: " +
+                   what);
   }
   const std::byte* p = data + sizeof(h);
   std::vector<IT> rowptr(static_cast<std::size_t>(h.nrows) + 1);
@@ -437,9 +436,7 @@ class ShardStore {
     bool dead = false;        ///< unregistered (tombstone: ids stay stable)
     bool prefetched = false;  ///< resident payload came from an unclaimed prefetch
     int pins = 0;
-    /// LRU position: pins and prefetches stamp +tick_, retires -tick_, so
-    /// the smallest value is the next victim.
-    std::int64_t tick = 0;
+    std::uint64_t tick = 0;
     std::string key;
     std::function<void(StorageBackend&, const std::string&)> save;
     std::function<Staged(StorageBackend&, const std::string&)> fetch;
@@ -522,16 +519,13 @@ class ShardStore {
   /// Called from lease destructors, so eviction-write failures cannot
   /// propagate: the victim then simply stays resident (over budget) and
   /// the next enforcement retries the save — or an explicit spill_all
-  /// surfaces the error. `consumed` (ShardLease::retire) moves the shard to
-  /// the cold end of the LRU, below every pin, prefetch and earlier
-  /// retire.
-  void unpin(std::size_t id, bool consumed) noexcept {
+  /// surfaces the error.
+  void unpin(std::size_t id) noexcept {
     std::lock_guard<std::mutex> lk(mu_);
     MSP_ASSERT(id < entries_.size());
     Entry& e = entries_[id];
     MSP_ASSERT(e.pins > 0);
     --e.pins;
-    if (consumed) e.tick = -++tick_;
     try {
       enforce();
     } catch (...) {
@@ -699,7 +693,7 @@ class ShardStore {
   std::condition_variable cv_;
   std::deque<Entry> entries_;  // deque: entry refs survive concurrent add()
   std::size_t resident_bytes_ = 0;
-  std::int64_t tick_ = 0;
+  std::uint64_t tick_ = 0;
   Stats stats_;
   std::unique_ptr<AsyncOpGroup> async_;  // lazy; destroyed first in ~ShardStore
 };
@@ -724,7 +718,7 @@ class ShardLease {
         keepalive_(std::move(o.keepalive_)) {}
   ShardLease& operator=(ShardLease&& o) noexcept {
     if (this != &o) {
-      release(false);
+      release();
       store_ = std::exchange(o.store_, nullptr);
       slot_ = std::move(o.slot_);
       id_ = o.id_;
@@ -734,7 +728,7 @@ class ShardLease {
   }
   ShardLease(const ShardLease&) = delete;
   ShardLease& operator=(const ShardLease&) = delete;
-  ~ShardLease() { release(false); }
+  ~ShardLease() { release(); }
 
   [[nodiscard]] const CsrMatrix<IT, VT>& matrix() const {
     MSP_ASSERT(slot_ != nullptr &&
@@ -743,12 +737,6 @@ class ShardLease {
   }
   const CsrMatrix<IT, VT>& operator*() const { return matrix(); }
   const CsrMatrix<IT, VT>* operator->() const { return &matrix(); }
-
-  /// Release the pin now, hinting that the holder has consumed the shard
-  /// for the rest of its pass: the store evicts it before shards that were
-  /// not retired (see the LRU contract in the file comment). The lease is
-  /// empty afterwards.
-  void retire() { release(/*consumed=*/true); }
 
  private:
   friend class ShardedMatrix<IT, VT>;
@@ -761,8 +749,8 @@ class ShardLease {
         id_(id),
         keepalive_(std::move(keepalive)) {}
 
-  void release(bool consumed) {
-    if (store_ != nullptr && slot_ != nullptr) store_->unpin(id_, consumed);
+  void release() {
+    if (store_ != nullptr && slot_ != nullptr) store_->unpin(id_);
     store_ = nullptr;
     slot_ = nullptr;
     keepalive_ = nullptr;  // after unpin: registrations die with pins == 0

@@ -23,13 +23,12 @@
 //
 //  * when the shards live in a spill-capable ShardStore, a call visits
 //    first the shards whose A and M payloads are resident, then the
-//    spilled ones, each group in index order, and retires both leases of
-//    each shard once it has computed (ShardLease::retire). Retired shards
-//    sit at the cold end of the store's LRU, so the reloads a call pays
-//    displace shards it has finished rather than shards it has still to
-//    visit, and a warm repeat call reloads only what the budget could not
-//    keep. While one shard computes, the engine prefetches the next shard
-//    in visit order (a background reload on the store's completion-queue
+//    spilled ones, each group in index order. A warm repeat call thus
+//    computes what the store kept before reloading anything, and the
+//    store's LRU then displaces shards the call has finished rather than
+//    shards it has still to visit (see the LRU contract in shard.hpp).
+//    While one shard computes, the engine prefetches the next shard in
+//    visit order (a background reload on the store's completion-queue
 //    worker; a no-op for a resident shard), hiding the reload stall;
 //    `set_prefetch(false)` serializes the I/O again. Each result lands in
 //    its shard's slot, so neither the visit order nor prefetch changes a
@@ -162,14 +161,14 @@ class TiledEngine {
 
     for (std::size_t i = 0; i < order.size(); ++i) {
       const int s = order[i];
-      ShardLease<IT, VT> as = a.lease(s);
-      ShardLease<IT, MT> ms = m.lease(s);
+      const ShardLease<IT, VT> as = a.lease(s);
+      const ShardLease<IT, MT> ms = m.lease(s);
       if (prefetch_ && i + 1 < order.size()) {
         // Overlap the next shard's reload with this shard's compute. The
-        // current leases pin the working set and every shard visited so
-        // far is retired, so the incoming payloads displace finished
-        // shards first. Prefetching a spilled shard any earlier could
-        // displace a resident shard this call has yet to visit.
+        // current leases pin the working set and the resident shards were
+        // visited first, so the incoming payloads displace finished
+        // shards. Prefetching a spilled shard any earlier could displace a
+        // resident shard this call has yet to visit.
         a.prefetch(order[i + 1]);
         m.prefetch(order[i + 1]);
       }
@@ -178,37 +177,35 @@ class TiledEngine {
       if (planless) {
         agg.total_flops += total_flops(*as, b);
         part = Engine::run_baseline<SR>(scheme, *as, b, *ms, kind, semantics);
-      } else {
-        SpgemmOperandHints<IT, VT> hints;
-        hints.fa = a.fingerprint(s);
-        hints.fb = bh->fingerprint();
-        hints.fm = valued ? m.valued_fingerprint(s) : m.fingerprint(s);
-        hints.flops = flops_for(*hints.fa, *hints.fb, *as, b);
-
-        MaskedSpgemmOptions opt;
-        opt.mask_kind = kind;
-        opt.mask_semantics = semantics;
-        // kAuto resolves per shard — each shard's flops histogram and mask
-        // density get their own decision, through the same resolver (and
-        // calibrated selector) as the monolithic Engine call.
-        tuner::AutoDecision decision;
-        engine_.resolve_options(
-            scheme, hints.flops.get(), ms->nnz(),
-            static_cast<std::int64_t>(ms->nrows),
-            static_cast<std::int64_t>(ms->ncols), kind, nullptr, decision,
-            opt);
-        if (opt.algorithm == MaskedAlgorithm::kInner) {
-          hints.b_csc = bh->csc_cache();
-          hints.b_values_version = bh->values_version();
-        }
-
-        MaskedSpgemmStats shard_stats;
-        opt.stats = &shard_stats;
-        part = engine_.context().multiply<SR>(*as, b, *ms, opt, &hints);
-        absorb_shard(agg, shard_stats);
+        continue;
       }
-      as.retire();
-      ms.retire();
+
+      SpgemmOperandHints<IT, VT> hints;
+      hints.fa = a.fingerprint(s);
+      hints.fb = bh->fingerprint();
+      hints.fm = valued ? m.valued_fingerprint(s) : m.fingerprint(s);
+      hints.flops = flops_for(*hints.fa, *hints.fb, *as, b);
+
+      MaskedSpgemmOptions opt;
+      opt.mask_kind = kind;
+      opt.mask_semantics = semantics;
+      // kAuto resolves per shard — each shard's flops histogram and mask
+      // density get their own decision, through the same resolver (and
+      // calibrated selector) as the monolithic Engine call.
+      tuner::AutoDecision decision;
+      engine_.resolve_options(
+          scheme, hints.flops.get(), ms->nnz(),
+          static_cast<std::int64_t>(ms->nrows),
+          static_cast<std::int64_t>(ms->ncols), kind, nullptr, decision, opt);
+      if (opt.algorithm == MaskedAlgorithm::kInner) {
+        hints.b_csc = bh->csc_cache();
+        hints.b_values_version = bh->values_version();
+      }
+
+      MaskedSpgemmStats shard_stats;
+      opt.stats = &shard_stats;
+      part = engine_.context().multiply<SR>(*as, b, *ms, opt, &hints);
+      absorb_shard(agg, shard_stats);
     }
 
     std::size_t spills1 = 0;

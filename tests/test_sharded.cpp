@@ -575,10 +575,10 @@ std::size_t spilled_entries(const ShardedMatrix<int, double>& a,
 TEST(ShardedOrder, WarmCallReloadsOnlyWhatWasSpilled) {
   // A store half the size of the shards: an index-order sweep over an
   // LRU store keeps nothing across calls and reloads every shard. With
-  // resident shards first and finished shards retired, a warm call must
-  // reload exactly the entries spilled when it began. Two shapes: L as
-  // operand and mask at once (the tricount product), and a separate mask
-  // whose shards start half resident.
+  // resident shards visited first, LRU only displaces shards the call has
+  // finished, so a warm call must reload exactly the entries spilled when
+  // it began. Two shapes: L as operand and mask at once (the tricount
+  // product), and a separate mask split along L's shards.
   const auto l = random_csr<int, double>(96, 96, 0.15, 811);
   const auto m = random_csr<int, double>(96, 96, 0.2, 812);
   const int k = 8;
@@ -607,16 +607,6 @@ TEST(ShardedOrder, WarmCallReloadsOnlyWhatWasSpilled) {
     TiledEngine tiled;
     tiled.set_prefetch(false);
     (void)tiled.multiply<PlusTimes<double>>(Scheme::kMsa2P, l_sh, l, m_sh);
-    if (!shared) {
-      // Leave every shard half resident: the operand's upper shards and
-      // the mask's lower ones. The resident halves of shards still to be
-      // visited must outlast the shards a call has finished.
-      store.spill_all();
-      for (int s = 0; s < k / 2; ++s) {
-        (void)l_sh.lease(k / 2 + s);
-        (void)m_sh.lease(s);
-      }
-    }
     for (int call = 0; call < 3; ++call) {
       SCOPED_TRACE("warm call " + std::to_string(call));
       const std::size_t spilled = spilled_entries(l_sh, m_sh);
@@ -668,49 +658,6 @@ TEST(ShardedOrder, PrefetchedRepeatCallsStayBitIdentical) {
     EXPECT_EQ(store.stats().prefetch_hits - hits0, reloads);
   }
   EXPECT_EQ(store.stats().prefetch_wasted.load(), 0u);
-}
-
-TEST(ShardedOrder, RetiredLeasesAreEvictedFirst) {
-  // Four equal shards (two rows of two entries each) under a budget of two
-  // unpinned shards. Pin 2 then 3, so 2 is least recently used, and hand
-  // both back. The next shard brought in displaces one of them: 2 under
-  // plain LRU, 3 when 3 was retired (retired beats recency), and 3 again
-  // when 2 and then 3 were retired (the most recent retire goes first).
-  std::vector<int> rowptr;
-  std::vector<int> colids;
-  for (int i = 0; i <= 8; ++i) rowptr.push_back(2 * i);
-  for (int i = 0; i < 8; ++i) {
-    colids.push_back(std::min(i, (i + 1) % 8));
-    colids.push_back(std::max(i, (i + 1) % 8));
-  }
-  const CsrMatrix<int, double> a(8, 8, rowptr, colids,
-                                 std::vector<double>(16, 1.0));
-  struct Case {
-    const char* name;
-    bool retire2;
-    bool retire3;
-    int evicted;
-  };
-  for (const Case c : {Case{"plain release", false, false, 2},
-                       Case{"3 retired", false, true, 3},
-                       Case{"2 then 3 retired", true, true, 3}}) {
-    SCOPED_TRACE(c.name);
-    ShardStore::Options so;
-    so.resident_budget = 2 * ShardedMatrix<int, double>(a, 4).bytes(0);
-    ShardStore store(so);
-    const ShardedMatrix<int, double> sh(a, 4, &store);
-    ASSERT_TRUE(sh.resident(2) && sh.resident(3));  // 0 and 1 were evicted
-    {
-      auto l2 = sh.lease(2);
-      auto l3 = sh.lease(3);
-      if (c.retire2) l2.retire();
-      if (c.retire3) l3.retire();
-    }
-    { const auto l0 = sh.lease(0); }  // reload: one shard over budget
-    EXPECT_TRUE(sh.resident(0));
-    EXPECT_EQ(sh.resident(2), c.evicted != 2);
-    EXPECT_EQ(sh.resident(3), c.evicted != 3);
-  }
 }
 
 TEST(ShardedEdge, ShortLivedShardsReleaseTheirStoreEntries) {

@@ -740,9 +740,24 @@ TEST(ShardBlob, CraftedFlagsAreTypedErrors) {
   std::vector<std::byte> short_iso = iso;
   short_iso.pop_back();
   expect_shard_decode_io_error<int>(short_iso);
-  // The untouched blob still decodes.
+  // The iso bit set on a blob that stores every value (a flipped bit):
+  // decoding it would replicate the first value over all the others.
+  std::vector<double> ramp(m.values.size());
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = double(i);
+  const IsoCsr full_m(m.nrows, m.ncols, m.rowptr, m.colids, ramp);
+  const std::vector<std::byte> full = detail::serialize_shard(full_m);
+  ASSERT_EQ(blob_flags(full), 0u);
+  expect_shard_decode_io_error<int>(with_flags(full, detail::kShardIsoValues));
+  // Trailing bytes after the values, on either layout.
+  for (std::vector<std::byte> longer : {iso, full}) {
+    longer.push_back(std::byte{0});
+    expect_shard_decode_io_error<int>(longer);
+  }
+  // The untouched blobs still decode.
   EXPECT_NO_THROW((void)(detail::deserialize_shard<int, double>(
       iso.data(), iso.size(), "crafted")));
+  EXPECT_NO_THROW((void)(detail::deserialize_shard<int, double>(
+      full.data(), full.size(), "crafted")));
 }
 
 }  // namespace
