@@ -22,13 +22,13 @@ int main(int argc, char** argv) {
   std::printf("R-MAT scale %d, edge factor %.0f: %d vertices, %zu nnz\n\n",
               scale, edge_factor, g.nrows, g.nnz());
 
-  // One Engine is the front door for the whole tour: every analysis below
-  // shares its plan cache and per-thread scratch.
+  // One Engine is the front door for every masked SpGEMM below: those
+  // analyses share its plan cache and per-thread scratch.
   msp::Engine engine;
 
   // Connected components (label propagation as masked SpMV on the
-  // (min, first) semiring, issued through the engine).
-  const auto cc = msp::connected_components(g, engine);
+  // (min, first) semiring).
+  const auto cc = msp::connected_components_spmv(g);
   std::printf("components:        %d (in %d label-propagation rounds)\n",
               msp::count_components(cc), cc.iterations);
 
@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
               bfs.depth, sources.size(), bfs.spgemm_seconds);
 
   // Direction-optimized single-source BFS (masked SpMV push/pull).
-  const auto dob = msp::bfs_direction_optimized(g, IT{0}, 14.0, 24.0,
-                                                &engine);
+  const auto dob = msp::bfs_direction_optimized(g, IT{0}, 14.0, 24.0);
   IT reached = 0;
   IT eccentricity = 0;
   for (IT lvl : dob.level) {

@@ -26,6 +26,13 @@ annotation carrying a justification):
                    Annotate deliberate single-thread sections with
                    `// stats-safe: <why>`.
 
+  ad-hoc-cache     `.erase(x.begin())` or `.pop_front()` — the hand-rolled
+                   FIFO eviction that five caches once each carried. Bounded
+                   caches use util/bounded_cache.hpp, the one eviction
+                   implementation (exempt). A queue that is not a cache
+                   takes a `// not-a-cache: <why>` annotation on the line or
+                   the one before it.
+
 Exit status: 0 when clean, 1 with one `path:line: rule: message` per
 finding otherwise.
 """
@@ -48,6 +55,9 @@ SIZEOF_ONLY = re.compile(r"^\s*sizeof\s*\([^)]*\)\s*$")
 GUARD = re.compile(r"\bif\s*\(|\bwhile\s*\(|\?")
 OMP_PARALLEL = re.compile(r"#\s*pragma\s+omp\s.*\bparallel\b")
 STATS_WRITE = re.compile(r"\bstats\s*->\s*(\w+)\s*(\+=|-=|\*=|=[^=])")
+FIFO_EVICT = re.compile(
+    r"\.erase\(\s*[\w.>-]*?(\.|->)begin\(\)\s*[,)]|\.pop_front\s*\(")
+CACHE_UTIL = SRC / "util" / "bounded_cache.hpp"
 
 
 def strip_comments(line: str) -> str:
@@ -124,6 +134,16 @@ def check_file(path: pathlib.Path) -> list[tuple[int, str, str]]:
              "memcpy without a zero-size guard (vector data() may be null "
              "for empty inputs); guard it or annotate `// memcpy-safe:`"))
 
+    if path != CACHE_UTIL:
+        for i, line in enumerate(code):
+            annotated = any("not-a-cache:" in raw[j]
+                            for j in range(max(0, i - 1), i + 1))
+            if FIFO_EVICT.search(line) and not annotated:
+                findings.append(
+                    (i + 1, "ad-hoc-cache",
+                     "hand-rolled FIFO eviction; use util/bounded_cache.hpp "
+                     "or annotate a non-cache queue `// not-a-cache:`"))
+
     # stats-in-omp: walk each `#pragma omp ... parallel` region's braces.
     i = 0
     while i < len(code):
@@ -154,7 +174,7 @@ def check_file(path: pathlib.Path) -> list[tuple[int, str, str]]:
 
 def main() -> int:
     n = 0
-    for path in sorted(SRC.rglob("*.hpp")):
+    for path in sorted([*SRC.rglob("*.hpp"), *SRC.rglob("*.cpp")]):
         for line, rule, msg in check_file(path):
             rel = path.relative_to(REPO)
             print(f"{rel}:{line}: {rule}: {msg}")

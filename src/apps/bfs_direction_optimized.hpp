@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "core/masked_spmv.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/ops.hpp"
@@ -37,13 +36,11 @@ struct DirectionOptimizedBfsResult {
 /// Direction-optimized BFS from `source` on a symmetric adjacency matrix.
 /// `alpha`/`beta` are Beamer's switching parameters (14 and 24 in the BFS
 /// literature; larger alpha switches to pull earlier, larger beta switches
-/// back to push earlier). With a non-null `engine` both SpMV directions
-/// are issued through the Engine facade's spmv passthroughs, so
-/// vector-driven traversal shares the services' single front door.
+/// back to push earlier).
 template <class IT, class VT>
 DirectionOptimizedBfsResult<IT> bfs_direction_optimized(
     const CsrMatrix<IT, VT>& adj, IT source, double alpha = 14.0,
-    double beta = 24.0, Engine* engine = nullptr) {
+    double beta = 24.0) {
   if (adj.nrows != adj.ncols) {
     throw invalid_argument_error("bfs_direction_optimized: square required");
   }
@@ -101,20 +98,12 @@ DirectionOptimizedBfsResult<IT> bfs_direction_optimized(
       // frontier. Complemented visited mask on the pull side.
       // BFS only needs existence of a frontier in-neighbour, so the scan
       // may stop at the first hit (classic bottom-up early exit).
-      next = engine != nullptr
-                 ? engine->spmv_pull<SR>(frontier, a_csc, visited,
-                                         /*complemented=*/true,
-                                         /*early_exit=*/true)
-                 : masked_spmv_pull<SR>(frontier, a_csc, visited,
-                                        /*complemented=*/true,
-                                        /*early_exit=*/true);
+      next = masked_spmv_pull<SR>(frontier, a_csc, visited,
+                                  /*complemented=*/true, /*early_exit=*/true);
     } else {
       ++result.push_steps;
-      next = engine != nullptr
-                 ? engine->spmv_push<SR>(frontier, a, visited,
-                                         /*complemented=*/true)
-                 : masked_spmv_push<SR>(frontier, a, visited,
-                                        /*complemented=*/true);
+      next = masked_spmv_push<SR>(frontier, a, visited,
+                                  /*complemented=*/true);
     }
     if (next.nnz() == 0) break;
     for (IT v : next.indices) result.level[static_cast<std::size_t>(v)] = depth;

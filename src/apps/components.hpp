@@ -11,10 +11,11 @@
 // BFS applications (§1's "multi-source graph traversal" pattern).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "core/masked_spmv.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/sparse_vector.hpp"
@@ -96,19 +97,18 @@ ComponentsResult<IT> connected_components(const CsrMatrix<IT, VT>& adj,
   return result;
 }
 
-/// Label-propagation connected components through the Engine facade: each
-/// round is literally the masked SpMV the header comment describes —
-/// y = ¬∅ ⊙ (x⊺·A) on the (min, first) semiring, where x holds the
-/// frontier's labels — issued via Engine::spmv_push. A Jacobi-style
-/// counterpart of the scalar `connected_components` above: it may take a
-/// different number of rounds (the scalar loop updates labels eagerly
-/// within a round) but converges to the identical labeling.
+/// Label-propagation connected components as masked SpMV: each round is
+/// literally the product the header comment describes — y = ¬∅ ⊙ (x⊺·A)
+/// on the (min, first) semiring, where x holds the frontier's labels. A
+/// Jacobi-style counterpart of the scalar `connected_components` above: it
+/// may take a different number of rounds (the scalar loop updates labels
+/// eagerly within a round) but converges to the identical labeling.
 template <class IT, class VT>
-ComponentsResult<IT> connected_components(const CsrMatrix<IT, VT>& adj,
-                                          Engine& engine,
-                                          int max_iterations = 1 << 20) {
+ComponentsResult<IT> connected_components_spmv(
+    const CsrMatrix<IT, VT>& adj, int max_iterations = 1 << 20) {
   if (adj.nrows != adj.ncols) {
-    throw invalid_argument_error("connected_components: square required");
+    throw invalid_argument_error(
+        "connected_components_spmv: square required");
   }
   const IT n = adj.nrows;
   ComponentsResult<IT> result;
@@ -126,7 +126,7 @@ ComponentsResult<IT> connected_components(const CsrMatrix<IT, VT>& adj,
     for (IT v : frontier) {  // frontier is sorted ascending
       x.push(v, static_cast<VT>(result.label[static_cast<std::size_t>(v)]));
     }
-    const SparseVector<IT, VT> y = engine.spmv_push<MinFirst<VT>>(
+    const SparseVector<IT, VT> y = masked_spmv_push<MinFirst<VT>>(
         x, adj, empty_mask, /*complemented=*/true);
     std::vector<IT> changed;
     for (std::size_t p = 0; p < y.nnz(); ++p) {

@@ -108,6 +108,7 @@ class AsyncOpGroup {
         continue;
       }
       std::function<void()> op = std::move(queue_.front());
+      // not-a-cache: the worker's job queue; every entry runs, none evicted.
       queue_.pop_front();
       ++in_flight_;
       lk.unlock();

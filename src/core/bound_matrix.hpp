@@ -7,9 +7,10 @@
 //    fingerprint that also folds in the zero/nonzero status of stored
 //    values) — so a service's steady-state calls skip the O(nnz) hash of
 //    each operand that ExecutionContext::multiply pays per call;
-//  * the per-row flops vectors of `this · B`, keyed by the partner's
-//    fingerprint — so a plan-cache miss (new mask over known operands)
-//    rebuilds its plan without recounting A·B;
+//  * the per-row flops vectors of `this · B` for the newest few partners
+//    (a FIFO keyed by the partner's fingerprint, util/bounded_cache.hpp) —
+//    so a plan-cache miss (new mask over known operands) rebuilds its plan
+//    without recounting A·B;
 //  * the CSC-transpose cache used by the pull-based Inner kernels — the
 //    transpose *structure* is built once per handle and injected into
 //    every plan that needs it, and the O(nnz) value re-gather is skipped
@@ -58,6 +59,7 @@
 #include "core/flops.hpp"
 #include "core/plan.hpp"
 #include "matrix/csr.hpp"
+#include "util/bounded_cache.hpp"
 #include "util/common.hpp"
 
 namespace msp {
@@ -180,25 +182,20 @@ class BoundMatrix {
     const std::uint64_t a_epoch = a_log != nullptr ? a_log->epoch() : 0;
     const std::uint64_t b_id = b_log != nullptr ? b_log->id() : 0;
     const std::uint64_t b_epoch = b_log != nullptr ? b_log->epoch() : 0;
-    for (auto& entry : state_->flops_by_partner) {
-      if (entry.fb != fb) continue;
-      if (entry.a_epoch != a_epoch || entry.b_log_id != b_id ||
-          entry.b_epoch != b_epoch) {
-        refresh_flops_entry(entry, b, a_log, b_id, b_epoch);
-        entry.a_epoch = a_epoch;
-        entry.b_log_id = b_id;
-        entry.b_epoch = b_epoch;
+    if (FlopsEntry* entry = state_->flops_by_partner.find(fb)) {
+      if (entry->a_epoch != a_epoch || entry->b_log_id != b_id ||
+          entry->b_epoch != b_epoch) {
+        refresh_flops_entry(*entry, b, a_log, b_id, b_epoch);
+        entry->a_epoch = a_epoch;
+        entry->b_log_id = b_id;
+        entry->b_epoch = b_epoch;
       }
-      return entry.flops;
+      return entry->flops;
     }
     auto flops = std::make_shared<const std::vector<std::int64_t>>(
         row_flops(*state_->matrix, b));
-    if (state_->flops_by_partner.size() >= kMaxFlopsPartners) {
-      state_->flops_by_partner.erase(state_->flops_by_partner.begin());
-    }
-    state_->flops_by_partner.push_back(
-        {fb, std::move(flops), a_epoch, b_id, b_epoch});
-    return state_->flops_by_partner.back().flops;
+    state_->flops_by_partner.put(fb, {flops, a_epoch, b_id, b_epoch});
+    return flops;
   }
 
   /// The handle's transpose cache (created empty on first use); plans
@@ -228,8 +225,10 @@ class BoundMatrix {
     return detail::hash_mix(0xd6e8feb86659fd93ULL, log_id);
   }
 
+  /// Flops of `matrix() · partner`, stamped with the dirty-log positions
+  /// it was counted at. The stamps are not part of the key: a stale entry
+  /// is refreshed in place, incrementally where the logs allow.
   struct FlopsEntry {
-    std::uint64_t fb = 0;
     std::shared_ptr<const std::vector<std::int64_t>> flops;
     std::uint64_t a_epoch = 0;    ///< own dirty-log epoch at count time
     std::uint64_t b_log_id = 0;   ///< partner's dirty-log identity
@@ -271,7 +270,8 @@ class BoundMatrix {
     bool has_valued_fp = false;
     std::shared_ptr<CscTransposeCache<IT, VT>> csc;
     std::shared_ptr<StructureDirtyLog<IT>> dirty_log;  // null until mutation
-    std::vector<FlopsEntry> flops_by_partner;
+    BoundedCache<std::uint64_t, FlopsEntry> flops_by_partner{
+        kMaxFlopsPartners};
   };
 
   std::shared_ptr<State> state_;

@@ -31,10 +31,23 @@
 //  * `Scheme::kAuto` as the runtime-selection seam: the documented
 //    flops-density heuristic (auto_scheme_options) by default, or the
 //    calibrated model of core/tuner.hpp when a profile is installed —
-//    `engine.tuned(profile)`, a per-call `.tuned(...)` on the builder, or
-//    the `MSP_TUNE_PROFILE` environment fallback. The tuned path picks the
-//    phase from the measured 1P/2P crossover and steers the adaptive
-//    kernel per flops bin; decisions never change results, only speed.
+//    `engine.tuned(profile)` or the `MSP_TUNE_PROFILE` environment
+//    fallback. The tuned path picks the phase from the measured 1P/2P
+//    crossover and steers the adaptive kernel per flops bin; decisions
+//    never change results, only speed;
+//  * `update`, which applies a DeltaMatrix edit batch and reports the
+//    touched rows to the operand's bound handle, and an incremental result
+//    splice: with all three operands bound, the engine keeps the newest
+//    results (a small FIFO, util/bounded_cache.hpp) and recomputes only
+//    the rows dirtied since.
+//
+// The entry points are exactly those some caller needs: the builder
+// (examples, tests), `multiply_scheme` (the apps, the builder's and the
+// dyn path's typed core, the benchmark), `multiply_dyn` (services: the
+// serve worker, the benchmark), `multiply_batch` (multi-mask services and
+// the batched bc/tricount apps), and `update`. Masked SpMV has no plan
+// state, so vector-driven apps call `masked_spmv_push`/`masked_spmv_pull`
+// directly.
 //
 // Both the builder and the dyn path produce results bit-identical to the
 // planless `masked_multiply` path — the engine conformance suite
@@ -55,13 +68,12 @@
 #include "core/exec_context.hpp"
 #include "core/flops.hpp"
 #include "core/invariants.hpp"
-#include "core/masked_spmv.hpp"
 #include "core/scheme.hpp"
 #include "core/tuner.hpp"
 #include "matrix/delta.hpp"
 #include "matrix/ops.hpp"
-#include "matrix/sparse_vector.hpp"
 #include "semiring/semiring.hpp"
+#include "util/bounded_cache.hpp"
 #include "util/common.hpp"
 
 namespace msp {
@@ -123,12 +135,9 @@ class MultiplyStart;
 template <Semiring SR, class IT, class VT, class MT>
 class MultiplyBuilder;
 
+/// A self-contained engine owning its ExecutionContext.
 class Engine {
  public:
-  /// A self-contained engine owning its ExecutionContext. `max_plans`
-  /// bounds the plan cache exactly as in ExecutionContext.
-  explicit Engine(std::size_t max_plans = 64) : ctx_(max_plans) {}
-
   [[nodiscard]] ExecutionContext& context() { return ctx_; }
   [[nodiscard]] const ExecutionContext::CacheStats& cache_stats() const {
     return ctx_.cache_stats();
@@ -136,11 +145,11 @@ class Engine {
   [[nodiscard]] std::size_t plan_count() const { return ctx_.plan_count(); }
   void clear() {
     ctx_.clear();
-    result_cache_.clear();
+    results_.clear();
   }
   /// Cached previous results held for the incremental splice (bounded).
   [[nodiscard]] std::size_t result_cache_size() const {
-    return result_cache_.size();
+    return results_.size();
   }
   void reset_stats() { ctx_.reset_stats(); }
 
@@ -256,8 +265,7 @@ class Engine {
       MaskedSpgemmStats* stats = nullptr,
       const std::type_identity_t<BoundMatrix<IT, VT>>* a_handle = nullptr,
       const std::type_identity_t<BoundMatrix<IT, VT>>* b_handle = nullptr,
-      const std::type_identity_t<BoundMatrix<IT, MT>>* m_handle = nullptr,
-      tuner::TunedSelector* tuner_override = nullptr) {
+      const std::type_identity_t<BoundMatrix<IT, MT>>* m_handle = nullptr) {
     require_scheme_supports(scheme, kind);
 
     // Baselines: planless (stats still receive the flops the iterative
@@ -323,77 +331,82 @@ class Engine {
         scheme != Scheme::kAuto && hints.fa.has_value() &&
         hints.fb.has_value() && hints.fm.has_value() &&
         a_handle->dirty_log() != nullptr;
-    const std::type_index splice_sig(
-        typeid(std::tuple<SR, CsrMatrix<IT, VT>, CsrMatrix<IT, MT>>));
-    if (splice_eligible) {
-      ResultCacheEntry* entry =
-          find_result(splice_sig, scheme, kind, semantics, *hints.fa,
-                      *hints.fb, *hints.fm);
-      if (entry != nullptr &&
-          entry->a_log_id == a_handle->dirty_log()->id() &&
-          entry->b_values_version == b_handle->values_version() &&
-          entry->m_values_version == m_handle->values_version()) {
-        const StructureDirtyLog<IT>& log = *a_handle->dirty_log();
-        std::vector<std::pair<IT, IT>> runs;
-        for (const auto& r : log.ranges_since(entry->a_epoch)) {
-          runs.emplace_back(std::max<IT>(r.begin, 0),
-                            std::min<IT>(r.end, a.nrows));
-        }
-        std::sort(runs.begin(), runs.end());
-        runs = coalesce_dirty_ranges<IT>(runs);
-        std::size_t dirty_rows = 0;
-        for (const auto& [lo, hi] : runs) {
-          dirty_rows += hi > lo ? static_cast<std::size_t>(hi - lo) : 0;
-        }
-        const auto& prev =
-            *static_cast<const CsrMatrix<IT, VT>*>(entry->result.get());
-        // The cached previous result must have the exact output shape the
-        // current operands produce, or stitching row blocks into it would
-        // silently serve a result for different operands.
-        MSP_CHECK_SPLICE(prev, a.nrows, b.ncols, "Engine::multiply_scheme");
-        if (dirty_rows == 0) {
-          if (stats != nullptr) {
-            stats->plan_cache_hit = true;
-            stats->symbolic_skipped = true;
-          }
-          ctx_.record_splice(0);
-          return prev;
-        }
-        if (dirty_rows * 2 < static_cast<std::size_t>(a.nrows)) {
-          std::vector<CsrMatrix<IT, VT>> parts;
-          IT cursor = 0;
-          for (const auto& [lo, hi] : runs) {
-            if (hi <= lo) continue;
-            if (cursor < lo) parts.push_back(slice_rows(prev, cursor, lo));
-            const CsrMatrix<IT, VT> a_blk = slice_rows(a, lo, hi);
-            const CsrMatrix<IT, MT> m_blk = slice_rows(m, lo, hi);
-            // Recompute the dirty block with the same scheme; B keeps its
-            // handle so the slice multiply reuses B's fingerprint (and CSC
-            // cache for inner-product schemes) instead of rehashing B.
-            parts.push_back(multiply_scheme<SR>(scheme, a_blk, b, m_blk,
-                                                kind, semantics, nullptr,
-                                                nullptr, b_handle));
-            cursor = hi;
-          }
-          if (cursor < a.nrows) {
-            parts.push_back(slice_rows(prev, cursor, a.nrows));
-          }
-          CsrMatrix<IT, VT> out = stitch_row_blocks(parts, b.ncols);
-          MSP_CHECK_SPLICE(out, a.nrows, b.ncols, "Engine::multiply_scheme");
-          MSP_CHECK_CSR(out, "Engine::multiply_scheme(splice)");
-          entry->result = std::make_shared<CsrMatrix<IT, VT>>(out);
-          entry->a_epoch = log.epoch();
-          if (stats != nullptr) {
-            stats->plan_cache_hit = true;
-            stats->symbolic_skipped = true;
-            stats->plan_rows_refreshed += dirty_rows;
-          }
-          ctx_.record_splice(dirty_rows);
-          return out;
-        }
-        // Too much of the matrix is dirty: the full path below is cheaper
-        // and refreshes the cache entry on its way out.
+    const ResultKey result_key{
+        std::type_index(
+            typeid(std::tuple<SR, CsrMatrix<IT, VT>, CsrMatrix<IT, MT>>)),
+        scheme, kind, semantics, hints.fa.value_or(0), hints.fb.value_or(0),
+        hints.fm.value_or(0)};
+    // The entry is copied out (its result is shared), not held: the slice
+    // multiplies below must not rely on the cache leaving it in place.
+    const ResultEntry* found =
+        splice_eligible ? results_.find(result_key) : nullptr;
+    if (found != nullptr &&
+        found->a_log_id == a_handle->dirty_log()->id() &&
+        found->b_values_version == b_handle->values_version() &&
+        found->m_values_version == m_handle->values_version()) {
+      const ResultEntry cached = *found;
+      const StructureDirtyLog<IT>& log = *a_handle->dirty_log();
+      std::vector<std::pair<IT, IT>> runs;
+      for (const auto& r : log.ranges_since(cached.a_epoch)) {
+        runs.emplace_back(std::max<IT>(r.begin, 0),
+                          std::min<IT>(r.end, a.nrows));
       }
+      std::sort(runs.begin(), runs.end());
+      runs = coalesce_dirty_ranges<IT>(runs);
+      std::size_t dirty_rows = 0;
+      for (const auto& [lo, hi] : runs) {
+        dirty_rows += hi > lo ? static_cast<std::size_t>(hi - lo) : 0;
+      }
+      const auto& prev =
+          *static_cast<const CsrMatrix<IT, VT>*>(cached.result.get());
+      // The cached previous result must have the exact output shape the
+      // current operands produce, or stitching row blocks into it would
+      // silently serve a result for different operands.
+      MSP_CHECK_SPLICE(prev, a.nrows, b.ncols, "Engine::multiply_scheme");
+      if (dirty_rows == 0) {
+        if (stats != nullptr) {
+          stats->plan_cache_hit = true;
+          stats->symbolic_skipped = true;
+        }
+        ctx_.record_splice(0);
+        return prev;
+      }
+      if (dirty_rows * 2 < static_cast<std::size_t>(a.nrows)) {
+        std::vector<CsrMatrix<IT, VT>> parts;
+        IT cursor = 0;
+        for (const auto& [lo, hi] : runs) {
+          if (hi <= lo) continue;
+          if (cursor < lo) parts.push_back(slice_rows(prev, cursor, lo));
+          const CsrMatrix<IT, VT> a_blk = slice_rows(a, lo, hi);
+          const CsrMatrix<IT, MT> m_blk = slice_rows(m, lo, hi);
+          // Recompute the dirty block with the same scheme; B keeps its
+          // handle so the slice multiply reuses B's fingerprint (and CSC
+          // cache for inner-product schemes) instead of rehashing B.
+          parts.push_back(multiply_scheme<SR>(scheme, a_blk, b, m_blk, kind,
+                                              semantics, nullptr, nullptr,
+                                              b_handle));
+          cursor = hi;
+        }
+        if (cursor < a.nrows) {
+          parts.push_back(slice_rows(prev, cursor, a.nrows));
+        }
+        CsrMatrix<IT, VT> out = stitch_row_blocks(parts, b.ncols);
+        MSP_CHECK_SPLICE(out, a.nrows, b.ncols, "Engine::multiply_scheme");
+        MSP_CHECK_CSR(out, "Engine::multiply_scheme(splice)");
+        results_.put(result_key,
+                     {cached.a_log_id, log.epoch(), cached.b_values_version,
+                      cached.m_values_version,
+                      std::make_shared<CsrMatrix<IT, VT>>(out)});
+        if (stats != nullptr) {
+          stats->plan_cache_hit = true;
+          stats->symbolic_skipped = true;
+          stats->plan_rows_refreshed += dirty_rows;
+        }
+        ctx_.record_splice(dirty_rows);
+        return out;
+      }
+      // Too much of the matrix is dirty: the full path below is cheaper
+      // and refreshes the cache entry on its way out.
     }
 
     MaskedSpgemmOptions opt;
@@ -414,8 +427,7 @@ class Engine {
     MaskedSpgemmStats refine_stats;
     tuner::TunedSelector* sel = resolve_options(
         scheme, hints.flops.get(), m.nnz(), static_cast<std::int64_t>(m.nrows),
-        static_cast<std::int64_t>(m.ncols), kind, tuner_override, decision,
-        opt);
+        static_cast<std::int64_t>(m.ncols), kind, decision, opt);
     if (sel != nullptr && opt.stats == nullptr) opt.stats = &refine_stats;
     if (opt.algorithm == MaskedAlgorithm::kInner && b_handle != nullptr &&
         b_handle->bound()) {
@@ -427,9 +439,8 @@ class Engine {
         ctx_.multiply<SR>(a, b, m, opt, any_hint ? &hints : nullptr);
     if (sel != nullptr) sel->observe(*opt.stats);
     if (splice_eligible) {
-      store_result({splice_sig, scheme, kind, semantics, *hints.fa,
-                    *hints.fb, *hints.fm, a_handle->dirty_log()->id(),
-                    a_handle->dirty_log()->epoch(),
+      results_.put(result_key,
+                   {a_handle->dirty_log()->id(), a_handle->dirty_log()->epoch(),
                     b_handle->values_version(), m_handle->values_version(),
                     std::make_shared<CsrMatrix<IT, VT>>(out)});
     }
@@ -475,8 +486,7 @@ class Engine {
     tuner::AutoDecision decision;  // outlives the batch multiply below
     resolve_options(scheme, &flops, mask_nnz,
                     static_cast<std::int64_t>(a.nrows),
-                    static_cast<std::int64_t>(b.ncols), kind, nullptr,
-                    decision, opt);
+                    static_cast<std::int64_t>(b.ncols), kind, decision, opt);
     return ctx_.multiply_batch<SR>(a, b, masks, opt);
   }
 
@@ -502,29 +512,6 @@ class Engine {
                                  const DynConfig& cfg = {}) {
     return dyn_dispatch<IT, VT, MT>(cfg, a.matrix(), b.matrix(), m.matrix(),
                                     &a, &b, &m);
-  }
-
-  // --- masked SpMV passthrough --------------------------------------------
-
-  /// Facade passthroughs for the masked SpMV primitives, so vector-driven
-  /// services (direction-optimized BFS, label propagation) go through the
-  /// same front door as the matrix products. Stateless today; the seam
-  /// where SpMV planning/caching would land.
-  template <Semiring SR, class IT, class VT, class MT>
-  SparseVector<IT, VT> spmv_push(const SparseVector<IT, VT>& x,
-                                 const CsrMatrix<IT, VT>& a,
-                                 const SparseVector<IT, MT>& m,
-                                 bool complemented = false) const {
-    return masked_spmv_push<SR>(x, a, m, complemented);
-  }
-
-  template <Semiring SR, class IT, class VT, class MT>
-  SparseVector<IT, VT> spmv_pull(const SparseVector<IT, VT>& x,
-                                 const CscMatrix<IT, VT>& a,
-                                 const SparseVector<IT, MT>& m,
-                                 bool complemented = false,
-                                 bool early_exit = false) const {
-    return masked_spmv_pull<SR>(x, a, m, complemented, early_exit);
   }
 
  private:
@@ -586,22 +573,21 @@ class Engine {
   /// The one scheme-to-options resolver: fills `opt` for one of the
   /// twelve planful schemes, or resolves kAuto from the per-row flops of
   /// A·B (`flops`, read only for kAuto) and the mask's nnz and shape.
-  /// With an active selector (`tuner_override`, else tuned_selector())
-  /// the calibrated model sets the phase, the per-bin route table (held
-  /// in `decision`, which must outlive the multiply) and the warm-plan
-  /// exact-phase upgrade; otherwise the flops-density heuristic decides.
-  /// Returns the selector that decided, or null.
+  /// With an active selector (tuned_selector()) the calibrated model sets
+  /// the phase, the per-bin route table (held in `decision`, which must
+  /// outlive the multiply) and the warm-plan exact-phase upgrade;
+  /// otherwise the flops-density heuristic decides. Returns the selector
+  /// that decided, or null.
   tuner::TunedSelector* resolve_options(
       Scheme scheme, const std::vector<std::int64_t>* flops,
       std::size_t mask_nnz, std::int64_t nrows, std::int64_t ncols,
-      MaskKind kind, tuner::TunedSelector* tuner_override,
-      tuner::AutoDecision& decision, MaskedSpgemmOptions& opt) {
+      MaskKind kind, tuner::AutoDecision& decision,
+      MaskedSpgemmOptions& opt) {
     if (scheme != Scheme::kAuto) {
       scheme_to_options(scheme, opt);
       return nullptr;
     }
-    tuner::TunedSelector* sel =
-        tuner_override != nullptr ? tuner_override : tuned_selector();
+    tuner::TunedSelector* sel = tuned_selector();
     if (sel != nullptr) {
       decision = sel->decide(build_flops_histogram(*flops), mask_nnz, nrows,
                              ncols, kind);
@@ -639,12 +625,10 @@ class Engine {
                                     : baseline_saxpy<SR>(a, b, m, kind);
   }
 
-  // One cached previous result for the incremental splice, keyed by the
-  // full multiply configuration (semiring/operand types via `sig`, the
-  // scheme, mask kind/semantics, and all three operand fingerprints). The
-  // epoch/version fields pin the operand states the result was computed
-  // from; `result` is a type-erased CsrMatrix<IT, VT> behind `sig`.
-  struct ResultCacheEntry {
+  /// The configuration a cached splice result answers: semiring and
+  /// operand types (`sig`), scheme, mask kind and semantics, and all three
+  /// operand fingerprints.
+  struct ResultKey {
     std::type_index sig;
     Scheme scheme;
     MaskKind kind;
@@ -652,6 +636,11 @@ class Engine {
     std::uint64_t fa;
     std::uint64_t fb;
     std::uint64_t fm;
+    bool operator==(const ResultKey&) const = default;
+  };
+  /// The operand states the result was computed from, and the result (a
+  /// type-erased CsrMatrix<IT, VT> behind the key's `sig`).
+  struct ResultEntry {
     std::uint64_t a_log_id;
     std::uint64_t a_epoch;
     std::uint64_t b_values_version;
@@ -660,34 +649,8 @@ class Engine {
   };
   static constexpr std::size_t kResultCacheCap = 4;
 
-  ResultCacheEntry* find_result(const std::type_index& sig, Scheme scheme,
-                                MaskKind kind, MaskSemantics semantics,
-                                std::uint64_t fa, std::uint64_t fb,
-                                std::uint64_t fm) {
-    for (auto& e : result_cache_) {
-      if (e.sig == sig && e.scheme == scheme && e.kind == kind &&
-          e.semantics == semantics && e.fa == fa && e.fb == fb &&
-          e.fm == fm) {
-        return &e;
-      }
-    }
-    return nullptr;
-  }
-
-  void store_result(ResultCacheEntry&& e) {
-    if (ResultCacheEntry* cur = find_result(e.sig, e.scheme, e.kind,
-                                            e.semantics, e.fa, e.fb, e.fm)) {
-      *cur = std::move(e);
-      return;
-    }
-    if (result_cache_.size() >= kResultCacheCap) {
-      result_cache_.erase(result_cache_.begin());  // FIFO
-    }
-    result_cache_.push_back(std::move(e));
-  }
-
   ExecutionContext ctx_;
-  std::vector<ResultCacheEntry> result_cache_;
+  BoundedCache<ResultKey, ResultEntry> results_{kResultCacheCap};
 
   // Calibrated kAuto selector (null = heuristic). env_checked_ latches the
   // one-time $MSP_TUNE_PROFILE probe so unset environments cost nothing.
@@ -712,8 +675,7 @@ class MultiplyBuilder {
                   Scheme scheme = Scheme::kAuto,
                   MaskKind kind = MaskKind::kMask,
                   MaskSemantics semantics = MaskSemantics::kStructural,
-                  MaskedSpgemmStats* stats = nullptr,
-                  std::shared_ptr<tuner::TunedSelector> tuned = nullptr)
+                  MaskedSpgemmStats* stats = nullptr)
       : engine_(&engine),
         a_(&a),
         b_(&b),
@@ -724,8 +686,7 @@ class MultiplyBuilder {
         scheme_(scheme),
         kind_(kind),
         semantics_(semantics),
-        stats_(stats),
-        tuned_(std::move(tuned)) {}
+        stats_(stats) {}
 
   /// Select the scheme (any of the paper's 14, or kAuto).
   MultiplyBuilder& scheme(Scheme s) {
@@ -762,21 +723,6 @@ class MultiplyBuilder {
     return *this;
   }
 
-  /// Resolve kAuto for this call through a calibrated profile, overriding
-  /// whatever the engine holds. The one-shot selector lives only as long
-  /// as the builder; install the profile on the engine (Engine::tuned) to
-  /// keep online refinement across calls.
-  MultiplyBuilder& tuned(const tuner::TuneProfile& profile) {
-    tuned_ = std::make_shared<tuner::TunedSelector>(profile);
-    return *this;
-  }
-
-  /// Share a selector across builders/calls (refinement state included).
-  MultiplyBuilder& tuned(std::shared_ptr<tuner::TunedSelector> selector) {
-    tuned_ = std::move(selector);
-    return *this;
-  }
-
   /// Choose the semiring by template family, applied to the value type:
   /// `.semiring<PlusTimes>()` on double operands means PlusTimes<double>.
   template <template <class> class S>
@@ -798,7 +744,7 @@ class MultiplyBuilder {
         scheme_, *a_, *b_, *m_, kind_, semantics_, stats_,
         a_handle_.bound() ? &a_handle_ : nullptr,
         b_handle_.bound() ? &b_handle_ : nullptr,
-        m_handle_.bound() ? &m_handle_ : nullptr, tuned_.get());
+        m_handle_.bound() ? &m_handle_ : nullptr);
   }
 
  private:
@@ -806,7 +752,7 @@ class MultiplyBuilder {
   [[nodiscard]] MultiplyBuilder<S, IT, VT, MT> with_semiring() const {
     return MultiplyBuilder<S, IT, VT, MT>(*engine_, *a_, a_handle_, *b_,
                                           b_handle_, *m_, m_handle_, scheme_,
-                                          kind_, semantics_, stats_, tuned_);
+                                          kind_, semantics_, stats_);
   }
 
   Engine* engine_;
@@ -820,7 +766,6 @@ class MultiplyBuilder {
   MaskKind kind_;
   MaskSemantics semantics_;
   MaskedSpgemmStats* stats_;
-  std::shared_ptr<tuner::TunedSelector> tuned_;
 };
 
 /// Operand stage of the fluent builder: holds (A, B); `.mask()` fixes the

@@ -4,14 +4,15 @@
 // graph algorithm) keeps across many masked multiplies. It owns
 //
 //  * a keyed plan cache: plans (core/plan.hpp) indexed by the operand
-//    pattern fingerprints × mask kind × mask semantics, FIFO-evicted, so a
-//    repeated call on unchanged patterns skips flops counting, one-phase
-//    bounds, the two-phase symbolic pass, B's transpose, and partitioning;
+//    pattern fingerprints × mask kind × mask semantics, holding the newest
+//    kMaxPlans plans (FIFO, util/bounded_cache.hpp), so a repeated call on
+//    unchanged patterns skips flops counting, one-phase bounds, the
+//    two-phase symbolic pass, B's transpose, and partitioning;
 //  * per-thread kernel scratch, type-erased and reused across calls: the
 //    MSA kernel's O(ncols) dense arrays, the hash kernel's warmed-up slot
 //    table, the heap and MCA arrays — allocated once per thread instead of
 //    once per call;
-//  * a small cache of batched (mask, row) work-item partitions, so a
+//  * a small FIFO cache of batched (mask, row) work-item partitions, so a
 //    service replaying the same multi-mask batch skips the global
 //    partition rebuild too.
 //
@@ -28,7 +29,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <typeindex>
 #include <unordered_map>
@@ -38,6 +38,7 @@
 #include "core/invariants.hpp"
 #include "core/masked_spgemm.hpp"
 #include "core/plan.hpp"
+#include "util/bounded_cache.hpp"
 #include "util/common.hpp"
 #include "util/timer.hpp"
 
@@ -45,11 +46,10 @@ namespace msp {
 
 class ExecutionContext {
  public:
-  /// `max_plans` bounds the plan cache (FIFO eviction); plans can hold
+  /// Plans held by the plan cache (FIFO eviction); plans can hold
   /// O(nrows + nnz(B)) data each, so unbounded growth would be a leak in a
   /// long-running service.
-  explicit ExecutionContext(std::size_t max_plans = 64)
-      : max_plans_(std::max<std::size_t>(1, max_plans)) {}
+  static constexpr std::size_t kMaxPlans = 64;
 
   /// Cumulative cache behaviour — the observable side of amortization.
   struct CacheStats {
@@ -100,7 +100,6 @@ class ExecutionContext {
   /// configurations must not leak hit/miss/plan_seconds across them.
   void clear() {
     plans_.clear();
-    order_.clear();
     thread_scratch_.clear();
     batch_parts_.clear();
     stats_ = CacheStats{};
@@ -141,8 +140,8 @@ class ExecutionContext {
   }
 
   /// Fetch (or build) the plan for the given operands/configuration. The
-  /// returned reference stays valid until `max_plans` later misses evict
-  /// it or clear() is called; the common usage is within one multiply.
+  /// returned reference stays valid until kMaxPlans later misses evict it
+  /// or clear() is called; the common usage is within one multiply.
   /// `hints` (see plan.hpp) carries operand state precomputed by the
   /// caller — fingerprints that skip the per-call hash, a shared flops
   /// vector threaded into any plan built here; every hint is optional and
@@ -195,11 +194,7 @@ class ExecutionContext {
     const std::uint64_t fm = hints != nullptr && hints->fm.has_value()
                                  ? transform(*hints->fm)
                                  : mask_fingerprint(a, b, m, fa, fb, valued);
-    const PlanKey key{fa,
-                      fb,
-                      fm,
-                      static_cast<int>(kind),
-                      static_cast<int>(semantics),
+    const PlanKey key{fa, fb, fm, kind, semantics,
                       std::type_index(typeid(Plan))};
     std::shared_ptr<const std::vector<std::int64_t>> shared_flops =
         hints != nullptr ? hints->flops : nullptr;
@@ -439,11 +434,8 @@ class ExecutionContext {
     keys.reserve(static_cast<std::size_t>(n));
     bool all_hits = true;
     for (int q = 0; q < n; ++q) {
-      keys.push_back(PlanKey{fa,
-                             fb,
-                             fm[static_cast<std::size_t>(q)],
-                             static_cast<int>(opt.mask_kind),
-                             static_cast<int>(opt.mask_semantics),
+      keys.push_back(PlanKey{fa, fb, fm[static_cast<std::size_t>(q)],
+                             opt.mask_kind, opt.mask_semantics,
                              std::type_index(typeid(Plan))});
       bool hit = false;
       plans[static_cast<std::size_t>(q)] = acquire_plan<IT, VT, MT>(
@@ -616,31 +608,17 @@ class ExecutionContext {
   }
 
  private:
+  /// Everything a plan depends on: the three operand patterns (by
+  /// fingerprint), the mask kind and semantics, and the plan's index and
+  /// value types.
   struct PlanKey {
     std::uint64_t fa;
     std::uint64_t fb;
     std::uint64_t fm;
-    int kind;
-    int semantics;
+    MaskKind kind;
+    MaskSemantics semantics;
     std::type_index type;
-
-    bool operator==(const PlanKey& o) const {
-      return fa == o.fa && fb == o.fb && fm == o.fm && kind == o.kind &&
-             semantics == o.semantics && type == o.type;
-    }
-  };
-
-  struct PlanKeyHash {
-    std::size_t operator()(const PlanKey& k) const {
-      std::uint64_t h = k.fa;
-      h = detail::hash_mix(h, k.fb);
-      h = detail::hash_mix(h, k.fm);
-      h = detail::hash_mix(h, static_cast<std::uint64_t>(k.kind));
-      h = detail::hash_mix(h, static_cast<std::uint64_t>(k.semantics));
-      h = detail::hash_mix(h,
-                           static_cast<std::uint64_t>(k.type.hash_code()));
-      return static_cast<std::size_t>(h);
-    }
+    bool operator==(const PlanKey&) const = default;
   };
 
   /// The (test-only) fingerprint post-transform, applied to every raw
@@ -694,9 +672,8 @@ class ExecutionContext {
       MaskSemantics semantics, bool* cache_hit,
       std::shared_ptr<const std::vector<std::int64_t>>* shared_flops) {
     using Plan = SpgemmPlan<IT, VT, MT>;
-    const auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      auto plan = std::static_pointer_cast<Plan>(it->second);
+    if (const auto* cached = plans_.find(key)) {
+      auto plan = std::static_pointer_cast<Plan>(*cached);
       if (plan->nrows() == m.nrows && plan->ncols() == m.ncols &&
           plan->flops().size() == static_cast<std::size_t>(a.nrows)) {
         ++stats_.plan_hits;
@@ -707,19 +684,13 @@ class ExecutionContext {
         return plan;
       }
       ++stats_.plan_mismatches;
-      plans_.erase(it);
-      const auto oit = std::find(order_.begin(), order_.end(), key);
-      if (oit != order_.end()) order_.erase(oit);
+      plans_.erase_if([&](const PlanKey& k) { return k == key; });
       // Any cached batch partition involving this key was built for the
       // mismatched operands — drop it, or a later batch over the same
       // keys would replay a stale partition.
-      batch_parts_.erase(
-          std::remove_if(batch_parts_.begin(), batch_parts_.end(),
-                         [&](const BatchPartitionEntry& e) {
-                           return std::find(e.keys.begin(), e.keys.end(),
-                                            key) != e.keys.end();
-                         }),
-          batch_parts_.end());
+      batch_parts_.erase_if([&](const BatchPartitionKey& k) {
+        return std::find(k.keys.begin(), k.keys.end(), key) != k.keys.end();
+      });
     }
     ++stats_.plan_misses;
     if (cache_hit != nullptr) *cache_hit = false;
@@ -729,30 +700,22 @@ class ExecutionContext {
     if (shared_flops != nullptr && *shared_flops == nullptr) {
       *shared_flops = plan->flops_ptr();
     }
-    plans_.emplace(key, plan);
-    order_.push_back(key);
-    while (plans_.size() > max_plans_) {
-      plans_.erase(order_.front());
-      order_.pop_front();
-      ++stats_.plan_evictions;
-    }
+    stats_.plan_evictions += plans_.put(key, plan);
     return plan;
   }
 
   /// Cached global batch partitions, matched by the *exact* plan-key
-  /// sequence (linear scan over a handful of entries, so the map itself
-  /// cannot mis-serve on a bucket collision). The keys are still 64-bit
-  /// fingerprints, so — like the plan cache — a hit is additionally
-  /// cross-checked against the current row count, and acquire_plan purges
-  /// entries whose plan failed its mismatch check; the residual risk is
-  /// the same equal-shape fingerprint collision the plan layer accepts.
-  /// FIFO-bounded like the plan cache.
-  struct BatchPartitionEntry {
+  /// sequence. The keys are still 64-bit fingerprints, so — like the plan
+  /// cache — a hit is additionally cross-checked against the current row
+  /// count, and acquire_plan purges entries whose plan failed its mismatch
+  /// check; the residual risk is the same equal-shape fingerprint
+  /// collision the plan layer accepts.
+  struct BatchPartitionKey {
     std::vector<PlanKey> keys;
     int n_lists;
     std::size_t nrows;  ///< flops.size() the partition was built over
     std::type_index type;
-    std::shared_ptr<void> part;
+    bool operator==(const BatchPartitionKey&) const = default;
   };
   static constexpr std::size_t kMaxBatchPartitions = 8;
 
@@ -760,32 +723,25 @@ class ExecutionContext {
   const BatchRowPartition<IT>& batch_partition_for(
       const std::vector<PlanKey>& keys, int n_lists,
       const std::vector<std::int64_t>& flops, Included included) {
-    const std::type_index type{typeid(BatchRowPartition<IT>)};
-    for (const auto& e : batch_parts_) {
-      if (e.n_lists == n_lists && e.type == type && e.nrows == flops.size() &&
-          e.keys == keys) {
-        return *static_cast<const BatchRowPartition<IT>*>(e.part.get());
-      }
+    using Part = BatchRowPartition<IT>;
+    BatchPartitionKey key{keys, n_lists, flops.size(),
+                          std::type_index(typeid(Part))};
+    if (const auto* cached = batch_parts_.find(key)) {
+      return *static_cast<const Part*>(cached->get());
     }
-    auto part = std::make_shared<BatchRowPartition<IT>>(
-        build_batch_partition<IT>(flops, static_cast<int>(keys.size()),
-                                  included, n_lists));
-    const BatchRowPartition<IT>& ref = *part;
-    batch_parts_.push_back(BatchPartitionEntry{keys, n_lists, flops.size(),
-                                               type, std::move(part)});
-    while (batch_parts_.size() > kMaxBatchPartitions) {
-      batch_parts_.pop_front();
-    }
+    auto part = std::make_shared<Part>(build_batch_partition<IT>(
+        flops, static_cast<int>(keys.size()), included, n_lists));
+    const Part& ref = *part;
+    batch_parts_.put(std::move(key), std::move(part));
     return ref;
   }
 
-  std::size_t max_plans_;
-  std::unordered_map<PlanKey, std::shared_ptr<void>, PlanKeyHash> plans_;
-  std::deque<PlanKey> order_;
+  BoundedCache<PlanKey, std::shared_ptr<void>> plans_{kMaxPlans};
   CacheStats stats_;
   std::vector<std::unordered_map<std::type_index, std::shared_ptr<void>>>
       thread_scratch_;
-  std::deque<BatchPartitionEntry> batch_parts_;
+  BoundedCache<BatchPartitionKey, std::shared_ptr<void>> batch_parts_{
+      kMaxBatchPartitions};
   FingerprintTransform fp_transform_ = nullptr;
 };
 

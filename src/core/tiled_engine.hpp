@@ -7,12 +7,17 @@
 //
 //  * B is bound exactly once per call — a caller-supplied BoundMatrix
 //    handle, or a call-local one — so its pattern fingerprint, its CSC
-//    transpose (for the pull-based Inner kernels), and its values version
-//    are shared across every shard through `SpgemmOperandHints`;
+//    transpose (for the pull-based Inner kernels), its values version and
+//    its structure dirty log are shared across every shard through
+//    `SpgemmOperandHints`; a B updated in place through its handle
+//    (Engine::update) refreshes the shard plans exactly as it refreshes a
+//    monolithic plan;
 //  * each shard's per-row flops vector is computed at most once and cached
-//    by (shard fingerprint, B fingerprint), then shared into any plan the
-//    context builds for that shard — a repeat call over unchanged patterns
-//    hits K cached plans and recounts nothing;
+//    (a FIFO of the newest 64, util/bounded_cache.hpp) by shard
+//    fingerprint, B fingerprint and B's dirty-log position, then shared
+//    into any plan the context builds for that shard — a repeat call over
+//    unchanged patterns hits K cached plans and recounts nothing, and a
+//    call after an update of B recounts;
 //  * shard and mask-shard pattern fingerprints come from the split (they
 //    survive spill/reload), so the per-shard plan-cache lookups hash
 //    nothing at all;
@@ -53,15 +58,14 @@
 
 #include "core/engine.hpp"
 #include "core/shard.hpp"
+#include "util/bounded_cache.hpp"
 
 namespace msp {
 
+/// A self-contained tiled engine owning its Engine (and therefore its
+/// ExecutionContext / plan cache).
 class TiledEngine {
  public:
-  /// A self-contained tiled engine owning its Engine (and therefore its
-  /// ExecutionContext / plan cache).
-  explicit TiledEngine(std::size_t max_plans = 64) : engine_(max_plans) {}
-
   [[nodiscard]] Engine& engine() { return engine_; }
   [[nodiscard]] const ExecutionContext::CacheStats& cache_stats() const {
     return engine_.cache_stats();
@@ -184,7 +188,8 @@ class TiledEngine {
       hints.fa = a.fingerprint(s);
       hints.fb = bh->fingerprint();
       hints.fm = valued ? m.valued_fingerprint(s) : m.fingerprint(s);
-      hints.flops = flops_for(*hints.fa, *hints.fb, *as, b);
+      hints.b_dirty = bh->dirty_log();
+      hints.flops = flops_for(*hints.fa, *hints.fb, hints.b_dirty, *as, b);
 
       MaskedSpgemmOptions opt;
       opt.mask_kind = kind;
@@ -196,7 +201,7 @@ class TiledEngine {
       engine_.resolve_options(
           scheme, hints.flops.get(), ms->nnz(),
           static_cast<std::int64_t>(ms->nrows),
-          static_cast<std::int64_t>(ms->ncols), kind, nullptr, decision, opt);
+          static_cast<std::int64_t>(ms->ncols), kind, decision, opt);
       if (opt.algorithm == MaskedAlgorithm::kInner) {
         hints.b_csc = bh->csc_cache();
         hints.b_values_version = bh->values_version();
@@ -274,14 +279,6 @@ class TiledEngine {
     return res;
   }
 
-  /// Monolithic-handle passthrough: same contract as Engine::update.
-  template <class IT, class VT>
-  DeltaUpdateResult<IT> update(DeltaMatrix<IT, VT>& dm,
-                               BoundMatrix<IT, VT>& handle,
-                               std::span<const EdgeUpdate<IT, VT>> edits) {
-    return engine_.update(dm, handle, edits);
-  }
-
   /// Drop the tiled layer's own cache (per-shard flops keyed by split
   /// fingerprints) along with the owned engine's plan cache, scratch,
   /// and counters.
@@ -297,28 +294,35 @@ class TiledEngine {
   }
 
  private:
-  /// Per-shard flops of shard·B, cached by (shard fingerprint, B
-  /// fingerprint) — the tiled counterpart of BoundMatrix::flops_with,
-  /// kept here because shard payloads are eviction-mobile and cannot host
-  /// a BoundMatrix. FIFO-bounded: a few calls' worth of shards.
+  /// Everything a shard's per-row flops vector depends on: the shard's
+  /// pattern (by its split fingerprint and row count) and B's (by its
+  /// fingerprint and, for a B updated in place, its dirty-log position —
+  /// an identity fingerprint stays put across updates).
+  struct FlopsKey {
+    std::uint64_t fa;
+    std::uint64_t fb;
+    std::uint64_t b_log_id;
+    std::uint64_t b_epoch;
+    std::size_t nrows;
+    bool operator==(const FlopsKey&) const = default;
+  };
+  /// Per-shard flops of shard·B — the tiled counterpart of
+  /// BoundMatrix::flops_with, kept here because shard payloads are
+  /// eviction-mobile and cannot host a BoundMatrix. A few calls' worth of
+  /// shards.
   static constexpr std::size_t kMaxFlopsEntries = 64;
 
   template <class IT, class VT>
   std::shared_ptr<const std::vector<std::int64_t>> flops_for(
-      std::uint64_t fa, std::uint64_t fb, const CsrMatrix<IT, VT>& shard,
-      const CsrMatrix<IT, VT>& b) {
-    for (const auto& e : flops_cache_) {
-      if (e.fa == fa && e.fb == fb &&
-          e.flops->size() == static_cast<std::size_t>(shard.nrows)) {
-        return e.flops;
-      }
-    }
+      std::uint64_t fa, std::uint64_t fb, const StructureDirtyLog<IT>* b_log,
+      const CsrMatrix<IT, VT>& shard, const CsrMatrix<IT, VT>& b) {
+    const FlopsKey key{fa, fb, b_log != nullptr ? b_log->id() : 0,
+                       b_log != nullptr ? b_log->epoch() : 0,
+                       static_cast<std::size_t>(shard.nrows)};
+    if (const auto* cached = flops_cache_.find(key)) return *cached;
     auto flops = std::make_shared<const std::vector<std::int64_t>>(
         row_flops(shard, b));
-    if (flops_cache_.size() >= kMaxFlopsEntries) {
-      flops_cache_.erase(flops_cache_.begin());
-    }
-    flops_cache_.push_back({fa, fb, flops});
+    flops_cache_.put(key, flops);
     return flops;
   }
 
@@ -338,15 +342,10 @@ class TiledEngine {
     agg.symbolic_skipped = agg.symbolic_skipped && s.symbolic_skipped;
   }
 
-  struct FlopsEntry {
-    std::uint64_t fa;
-    std::uint64_t fb;
-    std::shared_ptr<const std::vector<std::int64_t>> flops;
-  };
-
   Engine engine_;
   bool prefetch_ = true;
-  std::vector<FlopsEntry> flops_cache_;
+  BoundedCache<FlopsKey, std::shared_ptr<const std::vector<std::int64_t>>>
+      flops_cache_{kMaxFlopsEntries};
 };
 
 }  // namespace msp

@@ -113,6 +113,15 @@ TEST(Components, IterationsBoundedByDiameter) {
   EXPECT_EQ(count_components(r), 1);
 }
 
+TEST(Components, SpmvPropagationMatchesScalarPropagation) {
+  const auto g = remove_diagonal(
+      symmetrize(msp::testing::random_csr<IT, VT>(60, 60, 0.05, 101)));
+  const auto scalar = connected_components(g);
+  const auto via_spmv = connected_components_spmv(g);
+  EXPECT_EQ(scalar.label, via_spmv.label);
+  EXPECT_EQ(count_components(scalar), count_components(via_spmv));
+}
+
 TEST(MinSecondSemiring, Behaviour) {
   using SR = MinSecond<double>;
   EXPECT_DOUBLE_EQ(SR::add(3.0, 5.0), 3.0);

@@ -377,6 +377,69 @@ TEST(TiledUpdateTest, RefreshesOnlyOverlappingShards) {
   (void)c0;
 }
 
+// A bound B updated in place keeps its identity fingerprint, so the tiled
+// engine must hand B's dirty log to the plan layer (a hit on a shard plan
+// refreshes it) and key its shard flops by B's log position (a new mask
+// builds its shard plan from current flops, not from those counted before
+// the update).
+TEST(TiledUpdateTest, BoundBUpdatedInPlaceRefreshesShardPlansAndFlops) {
+  using SR = PlusTimes<double>;
+  const int n = 64;
+  // A is the identity; B is the identity without its row 0, which the
+  // second update fills.
+  CooMatrix<int, double> a_coo(n, n);
+  CooMatrix<int, double> b_coo(n, n);
+  for (int i = 0; i < n; ++i) {
+    a_coo.push(i, i, 1.0);
+    if (i > 0) b_coo.push(i, i, 1.0);
+  }
+  const auto a = coo_to_csr(std::move(a_coo));
+  const auto b_base = coo_to_csr(std::move(b_coo));
+  CooMatrix<int, double> m1_coo(n, n);
+  CooMatrix<int, double> m2_coo(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      m1_coo.push(i, j, 1.0);
+      if (i != 1 || j != 1) m2_coo.push(i, j, 1.0);  // differs in shard 0
+    }
+  }
+  const auto m1 = coo_to_csr(std::move(m1_coo));
+  const auto m2 = coo_to_csr(std::move(m2_coo));
+  std::vector<EdgeUpdate<int, double>> fill_row0;
+  for (int j = 0; j < n; ++j) fill_row0.push_back({0, j, 2.0, false});
+  const std::vector<EdgeUpdate<int, double>> touch_row5 = {{5, 7, 3.0, false}};
+
+  const ShardedMatrix<int, double> ash(a, 4);
+  for (const Scheme scheme : {Scheme::kMsa1P, Scheme::kMsa2P, Scheme::kHash1P,
+                              Scheme::kHash2P}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    DeltaMatrix<int, double> dmb(b_base, 100.0);
+    TiledEngine tiled;
+    BoundMatrix<int, double> bh = tiled.engine().bind(dmb.matrix());
+    const auto query = [&](const CsrMatrix<int, double>& m) {
+      const auto got = tiled.multiply<SR>(scheme, ash, dmb.matrix(), m,
+                                          MaskKind::kMask,
+                                          MaskSemantics::kStructural, nullptr,
+                                          &bh);
+      Engine fresh;
+      const CsrMatrix<int, double> b_now = dmb.matrix();
+      return std::pair{got, fresh.multiply_scheme<SR>(scheme, a, b_now, m)};
+    };
+    (void)tiled.engine().update(
+        dmb, bh, std::span<const EdgeUpdate<int, double>>(touch_row5));
+    const auto [c0, want0] = query(m1);
+    EXPECT_TRUE(csr_equal(want0, c0));
+    (void)tiled.engine().update(
+        dmb, bh, std::span<const EdgeUpdate<int, double>>(fill_row0));
+    const auto [c1, want1] = query(m1);  // shard plan hits
+    EXPECT_EQ(want1.nnz(), static_cast<std::size_t>(2 * n));
+    EXPECT_TRUE(csr_equal(want1, c1));
+    const auto [c2, want2] = query(m2);  // shard 0 plan misses
+    EXPECT_EQ(want2.nnz(), static_cast<std::size_t>(2 * n - 1));
+    EXPECT_TRUE(csr_equal(want2, c2));
+  }
+}
+
 TEST(TiledUpdateTest, RefreshRowsRejectsShapeChange) {
   const auto a = random_csr<int, double>(32, 32, 0.1, base_seed() + 20);
   const auto wrong = random_csr<int, double>(16, 32, 0.1, base_seed() + 21);
@@ -522,9 +585,10 @@ void run_monolithic_trial(std::uint64_t seed) {
   }
 }
 
-/// One sharded trial: same stream shape, updates routed through
-/// TiledEngine::update (per-shard invalidation), queries through the tiled
-/// multiply against a monolithic from-scratch rebuild.
+/// One sharded trial: same stream shape, A updates routed through
+/// TiledEngine::update (per-shard invalidation), B — a DeltaMatrix behind a
+/// bound handle — updated in place through Engine::update, queries through
+/// the tiled multiply against a monolithic from-scratch rebuild.
 template <class IT>
 void run_sharded_trial(std::uint64_t seed) {
   using VT = double;
@@ -537,39 +601,55 @@ void run_sharded_trial(std::uint64_t seed) {
   const int shards = 2 + static_cast<int>(rng.next_below(4));
   const auto base =
       random_csr<IT, VT>(n, n, 0.06, rng.next_below(1u << 30));
-  const auto b = random_csr<IT, VT>(n, n, 0.06, rng.next_below(1u << 30));
+  const auto b_base =
+      random_csr<IT, VT>(n, n, 0.06, rng.next_below(1u << 30));
   const auto m = random_csr<IT, VT>(n, n, 0.10, rng.next_below(1u << 30));
 
   std::map<std::pair<IT, IT>, VT> model;
+  std::map<std::pair<IT, IT>, VT> b_model;
   for (IT i = 0; i < n; ++i) {
     for (IT p = base.rowptr[i]; p < base.rowptr[i + 1]; ++p) {
       model[{i, base.colids[p]}] = base.values[p];
     }
+    for (IT p = b_base.rowptr[i]; p < b_base.rowptr[i + 1]; ++p) {
+      b_model[{i, b_base.colids[p]}] = b_base.values[p];
+    }
   }
 
   DeltaMatrix<IT, VT> dm(base, rng.next_double() < 0.5 ? 0.05 : 10.0);
+  DeltaMatrix<IT, VT> dmb(b_base, rng.next_double() < 0.5 ? 0.05 : 10.0);
   ShardedMatrix<IT, VT> ash(dm.matrix(), shards);
   const ShardedMatrix<IT, VT> msh(m, ash);
   TiledEngine tiled;
+  BoundMatrix<IT, VT> bh = tiled.engine().bind(dmb.matrix());
   FuzzConfig cfg = random_config(rng);
 
-  const int steps = 8;
+  const int steps = 10;
   for (int step = 0; step < steps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     const double dice = rng.next_double();
-    if (dice < 0.5) {
+    if (dice < 0.6) {
       const auto edits = random_edits<IT, VT>(
           rng, n, 1 + rng.next_below(static_cast<std::uint64_t>(n)));
-      tiled.update(dm, ash, std::span<const EdgeUpdate<IT, VT>>(edits));
-      apply_to_model(model, edits);
-      ASSERT_TRUE(csr_equal(model_to_csr(model, n), dm.matrix()));
+      if (dice < 0.3) {
+        tiled.update(dm, ash, std::span<const EdgeUpdate<IT, VT>>(edits));
+        apply_to_model(model, edits);
+        ASSERT_TRUE(csr_equal(model_to_csr(model, n), dm.matrix()));
+      } else {
+        (void)tiled.engine().update(
+            dmb, bh, std::span<const EdgeUpdate<IT, VT>>(edits));
+        apply_to_model(b_model, edits);
+        ASSERT_TRUE(csr_equal(model_to_csr(b_model, n), dmb.matrix()));
+      }
     } else {
       MaskedSpgemmStats st;
-      const auto got = tiled.multiply<SR>(cfg.scheme, ash, b, msh, cfg.kind,
-                                          cfg.semantics, &st);
+      const auto got =
+          tiled.multiply<SR>(cfg.scheme, ash, dmb.matrix(), msh, cfg.kind,
+                             cfg.semantics, &st, &bh);
       Engine fresh;
       const auto want = fresh.multiply_scheme<SR>(
-          cfg.scheme, model_to_csr(model, n), b, m, cfg.kind, cfg.semantics);
+          cfg.scheme, model_to_csr(model, n), model_to_csr(b_model, n), m,
+          cfg.kind, cfg.semantics);
       ASSERT_TRUE(csr_equal(want, got)) << scheme_name(cfg.scheme);
     }
   }

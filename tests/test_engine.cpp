@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "apps/components.hpp"
 #include "conformance/conformance_support.hpp"
 #include "core/engine.hpp"
 #include "matrix/ops.hpp"
@@ -390,45 +389,6 @@ TEST(BoundMatrix, FlopsCacheSharedIntoPlans) {
   auto& plan = engine.context().plan_for<IT, VT, VT>(
       a, b, m, MaskKind::kMask, MaskSemantics::kStructural);
   EXPECT_EQ(plan.flops_ptr().get(), flops1.get());
-}
-
-// ---------------------------------------------------------------------------
-// Engine-driven apps
-// ---------------------------------------------------------------------------
-
-TEST(EngineApps, ComponentsViaEngineMatchScalarPropagation) {
-  using IT = int;
-  using VT = double;
-  const auto g = remove_diagonal(
-      symmetrize(random_csr<IT, VT>(60, 60, 0.05, 101)));
-  const auto scalar = connected_components(g);
-  Engine engine;
-  const auto via_engine = connected_components(g, engine);
-  EXPECT_EQ(scalar.label, via_engine.label);
-  EXPECT_EQ(count_components(scalar), count_components(via_engine));
-}
-
-TEST(EngineApps, SpmvPassthroughMatchesFreeFunctions) {
-  using IT = int;
-  using VT = double;
-  using SR = PlusPair<VT>;
-  const auto a = random_csr<IT, VT>(20, 20, 0.25, 111);
-  const auto a_csc = csr_to_csc(a);
-  SparseVector<IT, VT> x(20);
-  x.push(2, 1.0);
-  x.push(7, 1.0);
-  SparseVector<IT, VT> m(20);
-  m.push(3, 1.0);
-  m.push(9, 1.0);
-  Engine engine;
-  const auto push_ref = masked_spmv_push<SR>(x, a, m, true);
-  const auto push_eng = engine.spmv_push<SR>(x, a, m, true);
-  EXPECT_EQ(push_ref.indices, push_eng.indices);
-  EXPECT_EQ(push_ref.values, push_eng.values);
-  const auto pull_ref = masked_spmv_pull<SR>(x, a_csc, m, true);
-  const auto pull_eng = engine.spmv_pull<SR>(x, a_csc, m, true);
-  EXPECT_EQ(pull_ref.indices, pull_eng.indices);
-  EXPECT_EQ(pull_ref.values, pull_eng.values);
 }
 
 }  // namespace

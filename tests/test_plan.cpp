@@ -221,13 +221,31 @@ TEST(PlanInvalidation, ValuedSemanticsSeeValueZeroing) {
 TEST(PlanInvalidation, FifoEvictionBoundsTheCache) {
   const auto a = random_csr<int, double>(20, 20, 0.2, 161);
   const auto b = random_csr<int, double>(20, 20, 0.2, 162);
-  ExecutionContext ctx(/*max_plans=*/2);
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    const auto m = random_csr<int, double>(20, 20, 0.3, 170 + seed);
-    (void)ctx.multiply<SR>(a, b, m, {});
+  ExecutionContext ctx;
+  const std::size_t n_masks = ExecutionContext::kMaxPlans + 3;
+  std::vector<CsrMatrix<int, double>> masks;
+  for (std::uint64_t seed = 0; seed < n_masks; ++seed) {
+    masks.push_back(random_csr<int, double>(20, 20, 0.3, 170 + seed));
+    (void)ctx.multiply<SR>(a, b, masks.back(), {});
   }
-  EXPECT_LE(ctx.plan_count(), 2u);
+  ASSERT_EQ(n_masks, 67u);
+  EXPECT_EQ(ctx.plan_count(), 64u);
+  EXPECT_EQ(ctx.cache_stats().plan_misses, 67u);
   EXPECT_EQ(ctx.cache_stats().plan_evictions, 3u);
+  // FIFO: the three oldest masks' plans are gone, the newest 64 held.
+  const auto hit = [&](std::size_t q) {
+    MaskedSpgemmStats st;
+    MaskedSpgemmOptions opt;
+    opt.stats = &st;
+    (void)ctx.multiply<SR>(a, b, masks[q], opt);
+    return st.plan_cache_hit;
+  };
+  EXPECT_TRUE(hit(66));
+  EXPECT_TRUE(hit(3));   // a hit does not move a plan to the back
+  EXPECT_FALSE(hit(0));  // rebuilt as the newest, evicting mask 3's plan
+  EXPECT_FALSE(hit(3));
+  EXPECT_EQ(ctx.plan_count(), 64u);
+  EXPECT_EQ(ctx.cache_stats().plan_evictions, 5u);
 }
 
 // ---------------------------------------------------------------------------

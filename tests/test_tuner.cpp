@@ -281,14 +281,11 @@ TEST(EngineTuned, BuilderAndBatchPathsBitIdentical) {
   const auto expected2 = plain.multiply_scheme<PlusTimes<double>>(
       Scheme::kAuto, a, b, m2);
 
-  // Fluent builder with a one-shot tuned profile.
+  // Fluent builder through a tuned engine.
   Engine engine;
-  engine.untuned();
-  const auto built = engine.multiply(a, b)
-                         .mask(m1)
-                         .scheme(Scheme::kAuto)
-                         .tuned(profile)
-                         .run();
+  engine.tuned(profile);
+  const auto built =
+      engine.multiply(a, b).mask(m1).scheme(Scheme::kAuto).run();
   EXPECT_TRUE(csr_equal(expected1, built));
 
   // Batched path through a tuned engine.

@@ -1,11 +1,14 @@
 // Tests for utilities: prefix sum, power-of-two helpers, checked casts,
-// summary statistics, and Dolan–Moré performance profiles.
+// summary statistics, Dolan–Moré performance profiles, and the bounded
+// FIFO cache.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "util/bounded_cache.hpp"
 #include "util/common.hpp"
 #include "util/prefix_sum.hpp"
 #include "util/stats.hpp"
@@ -154,6 +157,77 @@ TEST(SplitTimer, AccumulatesSlots) {
   EXPECT_DOUBLE_EQ(t.total(1), 0.0);
   EXPECT_DOUBLE_EQ(t.total(-1), 0.0);  // out-of-range slots are inert
   EXPECT_DOUBLE_EQ(t.total(99), 0.0);
+}
+
+std::vector<int> cached_keys(BoundedCache<int, std::string>& c,
+                             int max_key) {
+  std::vector<int> keys;
+  for (int k = 0; k <= max_key; ++k) {
+    if (c.find(k) != nullptr) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(BoundedCache, EvictsOldestFirst) {
+  BoundedCache<int, std::string> c(3);
+  EXPECT_EQ(c.put(1, "a"), 0u);
+  EXPECT_EQ(c.put(2, "b"), 0u);
+  EXPECT_EQ(c.put(3, "c"), 0u);
+  ASSERT_NE(c.find(1), nullptr);  // a lookup does not refresh the position
+  EXPECT_EQ(c.put(4, "d"), 1u);
+  EXPECT_EQ(cached_keys(c, 9), (std::vector<int>{2, 3, 4}));
+  EXPECT_EQ(c.put(5, "e"), 1u);
+  EXPECT_EQ(cached_keys(c, 9), (std::vector<int>{3, 4, 5}));
+  EXPECT_EQ(*c.find(5), "e");
+  EXPECT_EQ(c.size(), 3u);
+}
+
+TEST(BoundedCache, ReplaceKeepsPositionAndEvictsNothing) {
+  BoundedCache<int, std::string> c(3);
+  c.put(1, "a");
+  c.put(2, "b");
+  c.put(3, "c");
+  EXPECT_EQ(c.put(1, "A"), 0u);  // present: replaced in place
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_EQ(*c.find(1), "A");
+  EXPECT_EQ(c.put(4, "d"), 1u);  // key 1 is still the oldest
+  EXPECT_EQ(cached_keys(c, 9), (std::vector<int>{2, 3, 4}));
+}
+
+TEST(BoundedCache, EraseIfKeepsSurvivorOrder) {
+  BoundedCache<int, std::string> c(4);
+  for (int k = 1; k <= 4; ++k) c.put(k, std::to_string(k));
+  EXPECT_EQ(c.erase_if([](int k) { return k % 2 == 0; }), 2u);
+  EXPECT_EQ(cached_keys(c, 9), (std::vector<int>{1, 3}));
+  c.put(5, "5");
+  c.put(6, "6");
+  EXPECT_EQ(c.put(7, "7"), 1u);  // 1 is the oldest survivor
+  EXPECT_EQ(cached_keys(c, 9), (std::vector<int>{3, 5, 6, 7}));
+  EXPECT_EQ(c.erase_if([](int) { return false; }), 0u);
+  c.clear();
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_EQ(c.find(3), nullptr);
+}
+
+TEST(BoundedCache, CapacityOneHoldsTheNewest) {
+  BoundedCache<int, std::string> c(1);
+  EXPECT_EQ(c.put(1, "a"), 0u);
+  EXPECT_EQ(c.put(1, "b"), 0u);
+  EXPECT_EQ(*c.find(1), "b");
+  EXPECT_EQ(c.put(2, "c"), 1u);
+  EXPECT_EQ(c.find(1), nullptr);
+  EXPECT_EQ(*c.find(2), "c");
+}
+
+TEST(BoundedCache, EvictedCountSumsToOverflow) {
+  BoundedCache<int, int> c(8);
+  std::size_t evicted = 0;
+  for (int k = 0; k < 30; ++k) evicted += c.put(k, k);
+  for (int k = 0; k < 30; ++k) evicted += c.put(k % 3 + 27, k);  // replaces
+  EXPECT_EQ(evicted, 22u);
+  EXPECT_EQ(c.size(), 8u);
+  EXPECT_EQ(*c.find(29), 29);
+  EXPECT_EQ(*c.find(27), 27);  // last replace of key 27 stored k = 27
 }
 
 }  // namespace
