@@ -3,11 +3,11 @@
 //
 // The masks model the ROADMAP's multi-mask service: each query selects a
 // random subset of vertices and asks for their masked product rows (vertex
-// neighborhood queries over a fixed graph). The batch path fingerprints
-// A/B once, shares the flops vector and (for Inner) B's transpose across
-// all query plans, and runs one global flops-binned (mask, row) partition;
-// the sequential baseline pays fingerprints, flops, transpose, and
-// partitioning once per query. Both paths are verified bit-identical here.
+// neighborhood queries over a fixed graph). The batch binds A and B once,
+// so it fingerprints them once and shares the flops vector and (for Inner)
+// B's transpose across all query plans; the sequential baseline pays
+// fingerprints, flops and transpose once per query. Both paths are
+// verified bit-identical here.
 //
 // Acceptance run (ISSUE 3): MSP_SCALE=17 MSP_BATCH=8 — batch must be at
 // least 1.3× faster than the cold sequential loop. Defaults are CI-sized.
@@ -50,8 +50,7 @@ int main() {
 
   const Graph g = rmat_graph<IT, VT>(scale, ef);
   // Per-query row-subset masks. Skewed by construction: a query that
-  // draws a hub row carries far more flops than one that does not — the
-  // load-balance case for the global partition.
+  // draws a hub row carries far more flops than one that does not.
   std::vector<Graph> mask_store;
   mask_store.reserve(static_cast<std::size_t>(n_masks));
   for (int q = 0; q < n_masks; ++q) {
@@ -99,7 +98,7 @@ int main() {
         },
         repetitions);
 
-    // Warm batch: every plan, structure, and the global partition cached.
+    // Warm batch: every plan and structure cached.
     Engine warm_engine;
     (void)warm_engine.multiply_batch<PlusTimes<VT>>(s, g, g, masks);
     const double warm_seconds = time_best(

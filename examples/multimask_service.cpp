@@ -3,12 +3,11 @@
 // The north-star scenario behind the plan/execute split: a long-lived
 // service holds one operand pair (A, B) and answers a stream of query
 // *batches*, each query being a mask over the same product. One call to
-// ExecutionContext::multiply_batch answers a whole batch: A and B are
-// fingerprinted once, the per-row flops vector and B's transpose are
-// shared across every query plan, and one global flops-binned (mask, row)
-// partition load-balances the skewed queries across threads. Compare with
-// the same queries issued as sequential builder calls. Everything goes
-// through the msp::Engine facade — the service's single front door.
+// Engine::multiply_batch answers a whole batch: A and B are bound once, so
+// they are fingerprinted once and the per-row flops vector and B's
+// transpose are shared across every query plan. Compare with the same
+// queries issued as sequential builder calls. Everything goes through the
+// msp::Engine facade — the service's single front door.
 #include <cstdio>
 #include <vector>
 
@@ -44,7 +43,7 @@ int main() {
               t_seq.millis(), seq_engine.plan_count(),
               seq_engine.cache_stats().plan_seconds * 1e3);
 
-  // Batched: one call, shared fingerprints/flops, one global partition.
+  // Batched: one call, shared fingerprints and flops.
   Engine engine;
   MaskedSpgemmStats stats;
   Timer t_batch;
@@ -55,8 +54,8 @@ int main() {
               t_batch.millis(), engine.plan_count(),
               stats.plan_seconds * 1e3);
 
-  // The same batch again: plans, symbolic structures, and the global
-  // partition all come from the caches.
+  // The same batch again: plans and symbolic structures come from the
+  // plan cache.
   Timer t_warm;
   const auto warm =
       engine.multiply_batch<SR>(scheme, a, a, masks, MaskKind::kMask,
@@ -79,7 +78,7 @@ int main() {
       "answers: %zu queries, %zu nnz total, bit-identical to sequential: "
       "%s\n",
       batch.size(), total_nnz, same ? "yes" : "NO");
-  std::printf("cache: %zu batch calls, %zu masks, %zu hits, %zu misses\n",
-              cs.batch_calls, cs.batch_masks, cs.plan_hits, cs.plan_misses);
+  std::printf("cache: %zu plan hits, %zu plan misses\n", cs.plan_hits,
+              cs.plan_misses);
   return same ? 0 : 1;
 }

@@ -213,8 +213,8 @@ BcResult<IT> betweenness_centrality_sharded(const CsrMatrix<IT, VT>& adj,
 /// betweenness_centrality, but answered for many visited/blocked sets at
 /// once (a service running personalized expansions from one shared
 /// frontier, each query with its own forbidden vertices). The batch runs
-/// through Engine::multiply_batch — F and A are fingerprinted once and one
-/// global partition load-balances all queries. Masks must be
+/// through Engine::multiply_batch — F and A are bound once, so they are
+/// fingerprinted once and the flops vector is shared. Masks must be
 /// frontier.nrows × adj.ncols, like the visited matrix in BC's forward
 /// stage. Bit-identical to N sequential expansions.
 template <class IT, class VT>

@@ -107,10 +107,9 @@ TricountResult<IT> triangle_count(const CsrMatrix<IT, VT>& adj, Scheme scheme,
 /// L), sum(Mq ⊙ (L·L)) counts the wedges of L closed inside Mq's edge set —
 /// the per-subgraph/per-query flavour of triangle counting a multi-mask
 /// service answers against one prepared graph. The whole batch runs
-/// through Engine::multiply_batch: L is fingerprinted once, the flops
-/// vector and (for Inner) L's transpose are shared across all query plans,
-/// and one global flops-binned partition load-balances the batch.
-/// Bit-identical to counting each mask separately.
+/// through Engine::multiply_batch: L is bound once, so it is fingerprinted
+/// once and the flops vector and (for Inner) L's transpose are shared
+/// across all query plans. Bit-identical to counting each mask separately.
 template <class IT, class VT>
 std::vector<std::int64_t> triangle_support_batch(
     const TricountInput<IT, VT>& input,

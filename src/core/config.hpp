@@ -78,6 +78,22 @@ struct MaskedSpgemmStats {
   /// blocks skipped their symbolic pass.
   std::size_t plan_rows_refreshed = 0;
 
+  /// Fold one part's stats into an aggregate over several products (the
+  /// shards of a tiled call, the masks of a batch): timings, sizes and
+  /// flops sum; the cache-hit / symbolic-skipped flags hold only when they
+  /// held for every part, so the aggregate starts with both set.
+  void absorb(const MaskedSpgemmStats& s) {
+    symbolic_seconds += s.symbolic_seconds;
+    numeric_seconds += s.numeric_seconds;
+    assemble_seconds += s.assemble_seconds;
+    plan_seconds += s.plan_seconds;
+    output_nnz += s.output_nnz;
+    bound_nnz += s.bound_nnz;
+    total_flops += s.total_flops;
+    plan_cache_hit = plan_cache_hit && s.plan_cache_hit;
+    symbolic_skipped = symbolic_skipped && s.symbolic_skipped;
+  }
+
   /// output_nnz / bound_nnz — how tight the paper's nnz(M) bound was
   /// (1.0 = exact; meaningful for one-phase runs only).
   [[nodiscard]] double bound_tightness() const {

@@ -11,9 +11,9 @@
 //
 //  * `BoundMatrix` operand handles (core/bound_matrix.hpp) pin an
 //    operand's fingerprint, per-row flops, and CSC-transpose cache to the
-//    handle, so repeated calls never re-fingerprint — the sharing that
-//    `multiply_batch` applies within one call becomes the default across
-//    calls for every caller;
+//    handle, so repeated calls never re-fingerprint. They are the one way
+//    operand state is shared: `multiply_batch` is a loop of
+//    `multiply_scheme` calls over call-local handles of A and B;
 //  * a fluent builder for compile-time-typed callers:
 //
 //        Engine engine;
@@ -447,10 +447,14 @@ class Engine {
     return out;
   }
 
-  /// Batched counterpart: N masks against one A·B through the context's
-  /// multiply_batch (shared fingerprints/flops/transpose, one global
-  /// partition); the SS-style baselines have no plan concept and loop.
-  /// Bit-identical to N sequential multiply_scheme calls.
+  /// Batched counterpart: N masks against one A·B, answered as N
+  /// multiply_scheme calls over call-local bound handles of A and B — so A
+  /// and B are fingerprinted once per batch and cold plans share one flops
+  /// vector and one transpose through the handles. kAuto resolves per mask.
+  /// Bit-identical to N sequential multiply_scheme calls by construction.
+  /// Every mask is checked (null, shape) before any plan is built. `stats`,
+  /// when set, receives the batch aggregate: times, nnz and bounds summed,
+  /// plan_cache_hit / symbolic_skipped only if they held for every mask.
   template <Semiring SR, class IT, class VT, class MT>
   std::vector<CsrMatrix<IT, VT>> multiply_batch(
       Scheme scheme, const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
@@ -459,35 +463,29 @@ class Engine {
       MaskSemantics semantics = MaskSemantics::kStructural,
       MaskedSpgemmStats* stats = nullptr) {
     require_scheme_supports(scheme, kind);
-    if (scheme == Scheme::kSsDot || scheme == Scheme::kSsSaxpy) {
-      std::vector<CsrMatrix<IT, VT>> outs;
-      outs.reserve(masks.size());
-      for (const CsrMatrix<IT, MT>* m : masks) {
-        outs.push_back(
-            multiply_scheme<SR>(scheme, a, b, *m, kind, semantics, stats));
+    for (const CsrMatrix<IT, MT>* m : masks) {
+      if (m == nullptr) {
+        throw invalid_argument_error("multiply_batch: null mask");
       }
-      return outs;
+      detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, *m);
     }
-    MaskedSpgemmOptions opt;
-    opt.mask_kind = kind;
-    opt.mask_semantics = semantics;
-    opt.stats = stats;
-    // kAuto makes one routing decision for the whole batch, from the
-    // average mask.
-    std::vector<std::int64_t> flops;
-    std::size_t mask_nnz = 0;
-    if (scheme == Scheme::kAuto) {
-      flops = row_flops(a, b);
-      for (const CsrMatrix<IT, MT>* m : masks) {
-        if (m != nullptr) mask_nnz += m->nnz();
-      }
-      if (!masks.empty()) mask_nnz /= masks.size();
+    const BoundMatrix<IT, VT> ah(a);
+    const BoundMatrix<IT, VT> bh = &b == &a ? ah : BoundMatrix<IT, VT>(b);
+    MaskedSpgemmStats agg;
+    agg.plan_cache_hit = true;
+    agg.symbolic_skipped = true;
+    std::vector<CsrMatrix<IT, VT>> outs;
+    outs.reserve(masks.size());
+    for (const CsrMatrix<IT, MT>* m : masks) {
+      MaskedSpgemmStats one;
+      outs.push_back(multiply_scheme<SR>(scheme, a, b, *m, kind, semantics,
+                                         stats != nullptr ? &one : nullptr,
+                                         &ah, &bh));
+      agg.absorb(one);
+      agg.total_flops = one.total_flops;  // flops(A·B): one product's worth
     }
-    tuner::AutoDecision decision;  // outlives the batch multiply below
-    resolve_options(scheme, &flops, mask_nnz,
-                    static_cast<std::int64_t>(a.nrows),
-                    static_cast<std::int64_t>(b.ncols), kind, decision, opt);
-    return ctx_.multiply_batch<SR>(a, b, masks, opt);
+    if (stats != nullptr) *stats = agg;
+    return outs;
   }
 
   // --- type-erased runtime path -------------------------------------------

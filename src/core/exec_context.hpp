@@ -11,19 +11,15 @@
 //  * per-thread kernel scratch, type-erased and reused across calls: the
 //    MSA kernel's O(ncols) dense arrays, the hash kernel's warmed-up slot
 //    table, the heap and MCA arrays — allocated once per thread instead of
-//    once per call;
-//  * a small FIFO cache of batched (mask, row) work-item partitions, so a
-//    service replaying the same multi-mask batch skips the global
-//    partition rebuild too.
+//    once per call.
 //
 // `multiply` is the plan-then-execute counterpart of `masked_multiply`; it
 // produces bit-identical results (the conformance suite pins both to the
-// same baseline). `multiply_batch` answers N masks against one A·B in a
-// single call — bit-identical to N sequential `multiply` calls, but A and B
-// are fingerprinted once, the per-row flops vector and B's CSC transpose
-// are shared across all N plans, and one global flops-binned partition over
-// (mask, row) work items load-balances the whole batch. An ExecutionContext
-// must not be shared by concurrent callers — it is designed for one caller
+// same baseline). Operand state that outlives one call (fingerprints, the
+// per-row flops vector, B's transpose) arrives through hints from bound
+// handles (core/bound_matrix.hpp); many masks against one A·B is
+// `Engine::multiply_batch`, a loop of such calls. An ExecutionContext must
+// not be shared by concurrent callers — it is designed for one caller
 // issuing a stream of multiplies, each of which parallelizes internally.
 #pragma once
 
@@ -60,8 +56,6 @@ class ExecutionContext {
     /// fingerprint collision, or operands re-bound to a different shape)
     /// and were therefore demoted to misses.
     std::size_t plan_mismatches = 0;
-    std::size_t batch_calls = 0;  ///< multiply_batch invocations
-    std::size_t batch_masks = 0;  ///< total masks across those batches
     std::size_t tiled_calls = 0;   ///< TiledEngine::multiply invocations
     std::size_t tiled_shards = 0;  ///< shard multiplies across those calls
     std::size_t shard_spills = 0;  ///< ShardStore evictions during them
@@ -95,13 +89,12 @@ class ExecutionContext {
   [[nodiscard]] const CacheStats& cache_stats() const { return stats_; }
   [[nodiscard]] std::size_t plan_count() const { return plans_.size(); }
 
-  /// Drop every cached plan, all per-thread scratch, the batch partition
-  /// cache, and the cumulative counters. A context reset between bench
-  /// configurations must not leak hit/miss/plan_seconds across them.
+  /// Drop every cached plan, all per-thread scratch, and the cumulative
+  /// counters. A context reset between bench configurations must not leak
+  /// hit/miss/plan_seconds across them.
   void clear() {
     plans_.clear();
     thread_scratch_.clear();
-    batch_parts_.clear();
     stats_ = CacheStats{};
   }
 
@@ -196,11 +189,9 @@ class ExecutionContext {
                                  : mask_fingerprint(a, b, m, fa, fb, valued);
     const PlanKey key{fa, fb, fm, kind, semantics,
                       std::type_index(typeid(Plan))};
-    std::shared_ptr<const std::vector<std::int64_t>> shared_flops =
-        hints != nullptr ? hints->flops : nullptr;
     return *acquire_plan<IT, VT, MT>(key, a, b, m, kind, semantics, cache_hit,
-                                     shared_flops != nullptr ? &shared_flops
-                                                             : nullptr);
+                                     hints != nullptr ? hints->flops
+                                                      : nullptr);
   }
 
   /// Per-thread scratch of any default-constructible type, created on
@@ -364,249 +355,6 @@ class ExecutionContext {
     throw invalid_argument_error("ExecutionContext: unknown algorithm");
   }
 
-  /// Batched multi-mask Masked SpGEMM: Cq = Mq ⊙ (A·B) (or ¬Mq ⊙ (A·B))
-  /// for every mask of the batch, in one call. Results are bit-identical
-  /// to N sequential multiply() calls with the same options, but
-  ///
-  ///  * A and B are fingerprinted once (and each distinct mask object
-  ///    once), not once per mask;
-  ///  * plans missing from the cache are constructed from one shared
-  ///    per-row flops vector and, for the Inner algorithm, one shared CSC
-  ///    transpose of B;
-  ///  * execution runs over one global flops-binned partition of
-  ///    (mask, row) work items, so a batch of skewed masks load-balances
-  ///    across threads better than N back-to-back calls;
-  ///  * per-thread kernel scratch is reused across the whole batch with no
-  ///    intermediate teardown.
-  ///
-  /// Masks may alias each other (the same object may appear several
-  /// times) and may be empty. `opt.stats`, when set, receives batch
-  /// aggregates (plan_cache_hit = every mask hit; summed nnz and timings).
-  template <Semiring SR, class IT, class VT, class MT>
-  std::vector<CsrMatrix<IT, VT>> multiply_batch(
-      const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
-      const std::vector<const CsrMatrix<IT, MT>*>& masks,
-      const MaskedSpgemmOptions& opt = {}) {
-    using Plan = SpgemmPlan<IT, VT, MT>;
-    std::vector<CsrMatrix<IT, VT>> outs;
-    const int n = static_cast<int>(masks.size());
-    if (n == 0) return outs;
-    const bool complemented = opt.mask_kind == MaskKind::kComplement;
-    if (complemented && opt.algorithm == MaskedAlgorithm::kMca) {
-      throw invalid_argument_error("MCA does not support complemented masks");
-    }
-    for (const auto* m : masks) {
-      if (m == nullptr) {
-        throw invalid_argument_error("multiply_batch: null mask");
-      }
-      detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, *m);
-    }
-
-    Timer plan_timer;
-    ++stats_.batch_calls;
-    stats_.batch_masks += static_cast<std::size_t>(n);
-    const bool valued = opt.mask_semantics == MaskSemantics::kValued;
-    const std::uint64_t fa = fingerprint(a, false);
-    const std::uint64_t fb = &b == &a ? fa : fingerprint(b, false);
-
-    // Mask fingerprints, memoized by address so aliased masks hash once.
-    std::vector<std::uint64_t> fm(static_cast<std::size_t>(n));
-    std::unordered_map<const void*, std::uint64_t> fm_memo;
-    for (int q = 0; q < n; ++q) {
-      const void* addr = static_cast<const void*>(masks[q]);
-      const auto it = fm_memo.find(addr);
-      if (it != fm_memo.end()) {
-        fm[static_cast<std::size_t>(q)] = it->second;
-        continue;
-      }
-      fm[static_cast<std::size_t>(q)] =
-          mask_fingerprint(a, b, *masks[q], fa, fb, valued);
-      fm_memo.emplace(addr, fm[static_cast<std::size_t>(q)]);
-    }
-
-    // Acquire (or build) all plans, holding shared ownership so that FIFO
-    // eviction triggered by later misses in this very batch cannot free a
-    // plan the batch still executes. Missing plans are constructed from
-    // the batch-shared flops vector — A·B is counted at most once.
-    std::vector<std::shared_ptr<Plan>> plans(static_cast<std::size_t>(n));
-    std::shared_ptr<const std::vector<std::int64_t>> flops;
-    std::vector<PlanKey> keys;
-    keys.reserve(static_cast<std::size_t>(n));
-    bool all_hits = true;
-    for (int q = 0; q < n; ++q) {
-      keys.push_back(PlanKey{fa, fb, fm[static_cast<std::size_t>(q)],
-                             opt.mask_kind, opt.mask_semantics,
-                             std::type_index(typeid(Plan))});
-      bool hit = false;
-      plans[static_cast<std::size_t>(q)] = acquire_plan<IT, VT, MT>(
-          keys.back(), a, b, *masks[q], opt.mask_kind, opt.mask_semantics,
-          &hit, &flops);
-      MSP_CHECK_PLAN(*plans[static_cast<std::size_t>(q)], a, b, *masks[q],
-                     "ExecutionContext::multiply_batch");
-      all_hits = all_hits && hit;
-    }
-
-    std::vector<const CsrMatrix<IT, MT>*> eff(static_cast<std::size_t>(n));
-    for (int q = 0; q < n; ++q) {
-      eff[static_cast<std::size_t>(q)] =
-          &plans[static_cast<std::size_t>(q)]->effective_mask(*masks[q]);
-    }
-
-    // One global flops-binned partition over (mask, row) items, cached per
-    // exact key sequence so a replayed batch skips the rebuild. Under a
-    // regular mask, rows whose effective mask row is empty are provably
-    // empty in the output and excluded outright.
-    const BatchRowPartition<IT>& partition = batch_partition_for<IT>(
-        keys, max_threads(), *flops, [&](std::int32_t q, IT i) {
-          return complemented ||
-                 eff[static_cast<std::size_t>(q)]->row_nnz(i) > 0;
-        });
-
-    // Warm-plan phase upgrade (tuned kAuto), batch form: only when every
-    // mask's plan already carries the exact structure — the phase is
-    // global to the batch, and a single cold mask would otherwise pay an
-    // unamortized symbolic pass.
-    bool all_structured = opt.exact_phase_when_cached;
-    for (int q = 0; all_structured && q < n; ++q) {
-      all_structured = plans[static_cast<std::size_t>(q)]->has_structure();
-    }
-    const MaskedPhase phase =
-        all_structured ? MaskedPhase::kTwoPhase : opt.phase;
-    std::vector<const std::vector<std::size_t>*> ub(
-        static_cast<std::size_t>(n), nullptr);
-    if (phase == MaskedPhase::kOnePhase) {
-      for (int q = 0; q < n; ++q) {
-        ub[static_cast<std::size_t>(q)] =
-            &plans[static_cast<std::size_t>(q)]->ensure_bounds(*masks[q]);
-      }
-    }
-    std::vector<const CscMatrix<IT, VT>*> b_cscs(static_cast<std::size_t>(n),
-                                                 nullptr);
-    if (opt.algorithm == MaskedAlgorithm::kInner) {
-      // One transpose for the whole batch: reuse any plan's existing
-      // cache, inject it into plans without one, then build/refresh each
-      // *distinct* cache exactly once (hit plans that already built their
-      // own keep it — it is just as valid for this B).
-      std::shared_ptr<CscTransposeCache<IT, VT>> shared;
-      for (int q = 0; q < n && shared == nullptr; ++q) {
-        shared = plans[static_cast<std::size_t>(q)]->csc_cache();
-      }
-      if (shared == nullptr) {
-        shared = std::make_shared<CscTransposeCache<IT, VT>>();
-      }
-      std::vector<const void*> refreshed;
-      for (int q = 0; q < n; ++q) {
-        Plan& plan = *plans[static_cast<std::size_t>(q)];
-        plan.adopt_csc(shared);
-        CscTransposeCache<IT, VT>* cache = plan.csc_cache().get();
-        if (std::find(refreshed.begin(), refreshed.end(),
-                      static_cast<const void*>(cache)) == refreshed.end()) {
-          cache->ensure_structure(b);
-          cache->refresh_values(b);
-          cache->fresh_for_version = 0;  // batch path carries no version
-          refreshed.push_back(cache);
-        }
-        b_cscs[static_cast<std::size_t>(q)] = &cache->csc;
-      }
-    }
-    prepare_threads(max_threads());
-    const double plan_seconds = plan_timer.seconds();
-    stats_.plan_seconds += plan_seconds;
-    if (opt.stats != nullptr) {
-      opt.stats->plan_seconds = plan_seconds;
-      opt.stats->plan_cache_hit = all_hits;
-      opt.stats->symbolic_skipped = false;
-      opt.stats->total_flops = plans[0]->total_flops();
-    }
-
-    std::vector<const std::vector<IT>*> cached(static_cast<std::size_t>(n),
-                                               nullptr);
-    std::vector<std::vector<IT>*> sinks(static_cast<std::size_t>(n), nullptr);
-    for (int q = 0; q < n; ++q) {
-      Plan& plan = *plans[static_cast<std::size_t>(q)];
-      if (plan.has_structure()) {
-        cached[static_cast<std::size_t>(q)] = &plan.structure_rowptr();
-      }
-      sinks[static_cast<std::size_t>(q)] = plan.structure_sink();
-    }
-
-    const IT nrows = masks[0]->nrows;
-    auto run = [&](auto&& factory) {
-      if (phase == MaskedPhase::kOnePhase) {
-        return detail::run_batch_one_phase<IT, VT>(
-            nrows, b.ncols, ub, factory, partition, sinks, opt.stats);
-      }
-      return detail::run_batch_two_phase<IT, VT>(nrows, b.ncols, n, factory,
-                                                 partition, cached, sinks,
-                                                 opt.stats);
-    };
-
-    switch (opt.algorithm) {
-      case MaskedAlgorithm::kMsa: {
-        using K = MsaKernel<SR, IT, VT, MT>;
-        return run([&](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kHash: {
-        using K = HashKernel<SR, IT, VT, MT>;
-        return run([&](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kMca: {
-        using K = McaKernel<SR, IT, VT, MT>;
-        return run([&](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kHeap:
-      case MaskedAlgorithm::kHeapDot: {
-        using K = HeapKernel<SR, IT, VT, MT>;
-        const long fallback =
-            opt.algorithm == MaskedAlgorithm::kHeap ? 1 : kInspectAll;
-        const long inspect =
-            opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : fallback;
-        return run([&, inspect](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   inspect, &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kInner: {
-        using K = InnerKernel<SR, IT, VT, MT>;
-        return run([&](int, int q) {
-          return K(a, *b_cscs[static_cast<std::size_t>(q)],
-                   *eff[static_cast<std::size_t>(q)], complemented);
-        });
-      }
-      case MaskedAlgorithm::kAdaptive: {
-        using K = AdaptiveKernel<SR, IT, VT, MT>;
-        return run([&](int tid, int q) {
-          return K(a, b, *eff[static_cast<std::size_t>(q)], complemented,
-                   typename K::Policy{.table = opt.route_table},
-                   plans[static_cast<std::size_t>(q)]->flops().data(),
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-    }
-    throw invalid_argument_error("ExecutionContext: unknown algorithm");
-  }
-
-  /// Convenience overload taking the masks by value-container.
-  template <Semiring SR, class IT, class VT, class MT>
-  std::vector<CsrMatrix<IT, VT>> multiply_batch(
-      const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
-      const std::vector<CsrMatrix<IT, MT>>& masks,
-      const MaskedSpgemmOptions& opt = {}) {
-    std::vector<const CsrMatrix<IT, MT>*> ptrs;
-    ptrs.reserve(masks.size());
-    for (const auto& m : masks) ptrs.push_back(&m);
-    return multiply_batch<SR>(a, b, ptrs, opt);
-  }
-
  private:
   /// Everything a plan depends on: the three operand patterns (by
   /// fingerprint), the mask kind and semantics, and the plan's index and
@@ -662,15 +410,14 @@ class ExecutionContext {
   /// *current* operands: a 64-bit fingerprint is not proof of identity,
   /// and a collision (or a caller re-binding operands of a different
   /// shape) must not silently execute a mismatched plan — mismatches are
-  /// demoted to misses and the stale entry is dropped. `shared_flops`,
-  /// when non-null, threads one flops vector through a batch: it is
-  /// filled from the first plan seen and handed to every plan built after.
+  /// demoted to misses and the stale entry is dropped. A plan built here
+  /// adopts `flops` (the hinted per-row flops of A·B) when given.
   template <class IT, class VT, class MT>
   std::shared_ptr<SpgemmPlan<IT, VT, MT>> acquire_plan(
       const PlanKey& key, const CsrMatrix<IT, VT>& a,
       const CsrMatrix<IT, VT>& b, const CsrMatrix<IT, MT>& m, MaskKind kind,
       MaskSemantics semantics, bool* cache_hit,
-      std::shared_ptr<const std::vector<std::int64_t>>* shared_flops) {
+      std::shared_ptr<const std::vector<std::int64_t>> flops) {
     using Plan = SpgemmPlan<IT, VT, MT>;
     if (const auto* cached = plans_.find(key)) {
       auto plan = std::static_pointer_cast<Plan>(*cached);
@@ -678,70 +425,23 @@ class ExecutionContext {
           plan->flops().size() == static_cast<std::size_t>(a.nrows)) {
         ++stats_.plan_hits;
         if (cache_hit != nullptr) *cache_hit = true;
-        if (shared_flops != nullptr && *shared_flops == nullptr) {
-          *shared_flops = plan->flops_ptr();
-        }
         return plan;
       }
       ++stats_.plan_mismatches;
       plans_.erase_if([&](const PlanKey& k) { return k == key; });
-      // Any cached batch partition involving this key was built for the
-      // mismatched operands — drop it, or a later batch over the same
-      // keys would replay a stale partition.
-      batch_parts_.erase_if([&](const BatchPartitionKey& k) {
-        return std::find(k.keys.begin(), k.keys.end(), key) != k.keys.end();
-      });
     }
     ++stats_.plan_misses;
     if (cache_hit != nullptr) *cache_hit = false;
-    auto plan = std::make_shared<Plan>(
-        a, b, m, kind, semantics,
-        shared_flops != nullptr ? *shared_flops : nullptr);
-    if (shared_flops != nullptr && *shared_flops == nullptr) {
-      *shared_flops = plan->flops_ptr();
-    }
+    auto plan = std::make_shared<Plan>(a, b, m, kind, semantics,
+                                       std::move(flops));
     stats_.plan_evictions += plans_.put(key, plan);
     return plan;
-  }
-
-  /// Cached global batch partitions, matched by the *exact* plan-key
-  /// sequence. The keys are still 64-bit fingerprints, so — like the plan
-  /// cache — a hit is additionally cross-checked against the current row
-  /// count, and acquire_plan purges entries whose plan failed its mismatch
-  /// check; the residual risk is the same equal-shape fingerprint
-  /// collision the plan layer accepts.
-  struct BatchPartitionKey {
-    std::vector<PlanKey> keys;
-    int n_lists;
-    std::size_t nrows;  ///< flops.size() the partition was built over
-    std::type_index type;
-    bool operator==(const BatchPartitionKey&) const = default;
-  };
-  static constexpr std::size_t kMaxBatchPartitions = 8;
-
-  template <class IT, class Included>
-  const BatchRowPartition<IT>& batch_partition_for(
-      const std::vector<PlanKey>& keys, int n_lists,
-      const std::vector<std::int64_t>& flops, Included included) {
-    using Part = BatchRowPartition<IT>;
-    BatchPartitionKey key{keys, n_lists, flops.size(),
-                          std::type_index(typeid(Part))};
-    if (const auto* cached = batch_parts_.find(key)) {
-      return *static_cast<const Part*>(cached->get());
-    }
-    auto part = std::make_shared<Part>(build_batch_partition<IT>(
-        flops, static_cast<int>(keys.size()), included, n_lists));
-    const Part& ref = *part;
-    batch_parts_.put(std::move(key), std::move(part));
-    return ref;
   }
 
   BoundedCache<PlanKey, std::shared_ptr<void>> plans_{kMaxPlans};
   CacheStats stats_;
   std::vector<std::unordered_map<std::type_index, std::shared_ptr<void>>>
       thread_scratch_;
-  BoundedCache<BatchPartitionKey, std::shared_ptr<void>> batch_parts_{
-      kMaxBatchPartitions};
   FingerprintTransform fp_transform_ = nullptr;
 };
 

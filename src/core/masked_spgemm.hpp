@@ -12,9 +12,11 @@
 // path uses dynamic scheduling with a chunk derived from rows/threads; the
 // plan-based path (core/plan.hpp, core/exec_context.hpp) hands the drivers
 // a flops-binned static row partition and, for 2P, cached symbolic row
-// pointers so repeated multiplies skip the symbolic pass entirely. Each
-// thread owns one kernel instance whose scratch space is reused across all
-// rows it processes (and, through ExecutionContext, across calls).
+// pointers so repeated multiplies skip the symbolic pass entirely. Many
+// masks against one A·B are many calls (Engine::multiply_batch), each with
+// its own parallel regions. Each thread owns one kernel instance whose
+// scratch space is reused across all rows it processes (and, through
+// ExecutionContext, across calls).
 //
 // The configuration types (MaskedAlgorithm, MaskKind, MaskedSpgemmOptions,
 // MaskedSpgemmStats, ...) live in core/config.hpp.
@@ -214,205 +216,6 @@ CsrMatrix<IT, VT> run_two_phase(IT nrows, IT ncols, KernelFactory make_kernel,
   }
   MSP_ASSERT(out.check_structure());
   return out;
-}
-
-/// Item loop for the batched multi-mask drivers. Each thread walks its
-/// lists of (mask, row) items; items are sorted by (mask, row) within a
-/// list, so one kernel is constructed per contiguous same-mask run (kernel
-/// construction only binds references and borrows scratch — the scratch
-/// itself is shared across every mask the thread touches, with no teardown
-/// between masks). `active`, when non-null, skips whole masks (used by the
-/// two-phase symbolic pass when some plans already carry their structure).
-template <class IT, class KernelFactory, class ItemFn>
-void for_each_batch_item(const BatchRowPartition<IT>& partition,
-                         const std::vector<char>* active,
-                         KernelFactory&& make_kernel, ItemFn&& fn) {
-#pragma omp parallel
-  {
-    const int tid = thread_id();
-    const int nt = region_threads();
-    for (int l = tid; l < partition.lists(); l += nt) {
-      const auto items = partition.list(l);
-      std::size_t p = 0;
-      while (p < items.size()) {
-        const std::int32_t q = items[p].mask;
-        if (active != nullptr && !(*active)[static_cast<std::size_t>(q)]) {
-          while (p < items.size() && items[p].mask == q) ++p;
-          continue;
-        }
-        auto kernel = make_kernel(tid, static_cast<int>(q));
-        for (; p < items.size() && items[p].mask == q; ++p) {
-          fn(kernel, static_cast<int>(q), items[p].row);
-        }
-      }
-    }
-  }
-}
-
-/// Batched one-phase driver: N outputs in one pass over the global
-/// (mask, row) partition. The per-item work is exactly run_one_phase's
-/// per-row work against the same bounds, so every output is bit-identical
-/// to a sequential plan-based run. `stats`, when set, receives batch
-/// aggregates (summed bounds/nnz, whole-batch phase timings).
-template <class IT, class VT, class KernelFactory>
-std::vector<CsrMatrix<IT, VT>> run_batch_one_phase(
-    IT nrows, IT ncols, const std::vector<const std::vector<std::size_t>*>& ub,
-    KernelFactory make_kernel, const BatchRowPartition<IT>& partition,
-    const std::vector<std::vector<IT>*>& structure_sinks,
-    MaskedSpgemmStats* stats = nullptr) {
-  Timer phase_timer;
-  const std::size_t n = ub.size();
-  std::vector<std::vector<std::size_t>> offsets(n);
-  std::vector<std::unique_ptr<IT[]>> tmp_cols(n);
-  std::vector<std::unique_ptr<VT[]>> tmp_vals(n);
-  std::vector<std::vector<IT>> counts(n);
-  std::size_t bound_total = 0;
-  for (std::size_t q = 0; q < n; ++q) {
-    offsets[q].assign(static_cast<std::size_t>(nrows) + 1, 0);
-    for (IT i = 0; i < nrows; ++i) {
-      offsets[q][static_cast<std::size_t>(i) + 1] =
-          offsets[q][static_cast<std::size_t>(i)] +
-          (*ub[q])[static_cast<std::size_t>(i)];
-    }
-    const std::size_t cap = offsets[q].back();
-    bound_total += cap;
-    // Default-initialized, as in run_one_phase: zeroing `cap` elements the
-    // kernels are about to overwrite would be a pure extra memory pass.
-    tmp_cols[q].reset(new IT[cap]);
-    tmp_vals[q].reset(new VT[cap]);
-    counts[q].assign(static_cast<std::size_t>(nrows), 0);
-  }
-
-  for_each_batch_item(partition, nullptr, make_kernel,
-                      [&](auto& kernel, int q, IT i) {
-                        const std::size_t qs = static_cast<std::size_t>(q);
-                        const std::size_t off =
-                            offsets[qs][static_cast<std::size_t>(i)];
-                        counts[qs][static_cast<std::size_t>(i)] =
-                            kernel.numeric_row(i, tmp_cols[qs].get() + off,
-                                               tmp_vals[qs].get() + off);
-                        MSP_ASSERT(static_cast<std::size_t>(counts[qs][i]) <=
-                                   (*ub[qs])[static_cast<std::size_t>(i)]);
-                      });
-  if (stats != nullptr) {
-    stats->numeric_seconds = phase_timer.seconds();
-    stats->bound_nnz = bound_total;
-    phase_timer.reset();
-  }
-
-  std::vector<CsrMatrix<IT, VT>> outs;
-  outs.reserve(n);
-  std::size_t output_total = 0;
-  for (std::size_t q = 0; q < n; ++q) {
-    std::vector<IT> rowptr_counts = counts[q];
-    const IT total = exclusive_prefix_sum(rowptr_counts);
-    CsrMatrix<IT, VT> out(nrows, ncols);
-    out.colids.resize(static_cast<std::size_t>(total));
-    out.values.resize(static_cast<std::size_t>(total));
-    for (IT i = 0; i < nrows; ++i) out.rowptr[i] = rowptr_counts[i];
-    out.rowptr[nrows] = total;
-#pragma omp parallel for schedule(dynamic, 64)
-    for (IT i = 0; i < nrows; ++i) {
-      const std::size_t src = offsets[q][static_cast<std::size_t>(i)];
-      const std::size_t dst = static_cast<std::size_t>(out.rowptr[i]);
-      const std::size_t c = static_cast<std::size_t>(counts[q][i]);
-      std::copy_n(tmp_cols[q].get() + src, c, out.colids.data() + dst);
-      std::copy_n(tmp_vals[q].get() + src, c, out.values.data() + dst);
-    }
-    output_total += out.nnz();
-    if (structure_sinks[q] != nullptr && structure_sinks[q]->empty()) {
-      *structure_sinks[q] = out.rowptr;
-    }
-    MSP_ASSERT(out.check_structure());
-    outs.push_back(std::move(out));
-  }
-  if (stats != nullptr) {
-    stats->assemble_seconds = phase_timer.seconds();
-    stats->output_nnz = output_total;
-  }
-  return outs;
-}
-
-/// Batched two-phase driver. Masks whose plan already carries the symbolic
-/// structure (`cached_rowptr[q] != nullptr`) skip the symbolic pass; the
-/// rest are counted in one batched pass over the partition. The numeric
-/// pass then runs over every item.
-template <class IT, class VT, class KernelFactory>
-std::vector<CsrMatrix<IT, VT>> run_batch_two_phase(
-    IT nrows, IT ncols, int n_masks, KernelFactory make_kernel,
-    const BatchRowPartition<IT>& partition,
-    const std::vector<const std::vector<IT>*>& cached_rowptr,
-    const std::vector<std::vector<IT>*>& structure_sinks,
-    MaskedSpgemmStats* stats = nullptr) {
-  Timer phase_timer;
-  const std::size_t n = static_cast<std::size_t>(n_masks);
-  std::vector<CsrMatrix<IT, VT>> outs;
-  outs.reserve(n);
-  for (std::size_t q = 0; q < n; ++q) outs.emplace_back(nrows, ncols);
-
-  std::vector<char> needs_symbolic(n, 0);
-  bool any_symbolic = false;
-  for (std::size_t q = 0; q < n; ++q) {
-    needs_symbolic[q] = cached_rowptr[q] == nullptr ? 1 : 0;
-    any_symbolic |= needs_symbolic[q] != 0;
-  }
-
-  if (any_symbolic) {
-    std::vector<std::vector<IT>> counts(n);
-    for (std::size_t q = 0; q < n; ++q) {
-      if (needs_symbolic[q]) {
-        counts[q].assign(static_cast<std::size_t>(nrows), 0);
-      }
-    }
-    for_each_batch_item(partition, &needs_symbolic, make_kernel,
-                        [&](auto& kernel, int q, IT i) {
-                          counts[static_cast<std::size_t>(q)]
-                                [static_cast<std::size_t>(i)] =
-                                    kernel.symbolic_row(i);
-                        });
-    for (std::size_t q = 0; q < n; ++q) {
-      if (!needs_symbolic[q]) continue;
-      const IT total = exclusive_prefix_sum(counts[q]);
-      for (IT i = 0; i < nrows; ++i) outs[q].rowptr[i] = counts[q][i];
-      outs[q].rowptr[nrows] = total;
-    }
-  }
-  for (std::size_t q = 0; q < n; ++q) {
-    if (!needs_symbolic[q]) outs[q].rowptr = *cached_rowptr[q];
-  }
-  if (stats != nullptr) {
-    stats->symbolic_seconds = any_symbolic ? phase_timer.seconds() : 0.0;
-    stats->symbolic_skipped = !any_symbolic;
-    phase_timer.reset();
-  }
-
-  for (std::size_t q = 0; q < n; ++q) {
-    const IT total = outs[q].rowptr[nrows];
-    outs[q].colids.resize(static_cast<std::size_t>(total));
-    outs[q].values.resize(static_cast<std::size_t>(total));
-  }
-  for_each_batch_item(
-      partition, nullptr, make_kernel, [&](auto& kernel, int q, IT i) {
-        auto& out = outs[static_cast<std::size_t>(q)];
-        const IT written =
-            kernel.numeric_row(i, out.colids.data() + out.rowptr[i],
-                               out.values.data() + out.rowptr[i]);
-        MSP_ASSERT(written == out.rowptr[i + 1] - out.rowptr[i]);
-        (void)written;
-      });
-  std::size_t output_total = 0;
-  for (std::size_t q = 0; q < n; ++q) {
-    output_total += outs[q].nnz();
-    if (structure_sinks[q] != nullptr && structure_sinks[q]->empty()) {
-      *structure_sinks[q] = outs[q].rowptr;
-    }
-    MSP_ASSERT(outs[q].check_structure());
-  }
-  if (stats != nullptr) {
-    stats->numeric_seconds = phase_timer.seconds();
-    stats->output_nnz = output_total;
-  }
-  return outs;
 }
 
 /// Per-row one-phase output bounds (see file header).

@@ -11,8 +11,10 @@
 // re-bound to (possibly different, pattern-identical) operand objects at
 // every execution, which is what makes mutated-values/same-pattern reuse safe.
 //
-// `core/exec_context.hpp` owns the keyed plan cache and the per-thread
-// kernel scratch that complete the execution half.
+// Plans over one A·B built through bound handles (core/bound_matrix.hpp)
+// share one flops vector and one transpose; each plan partitions only its
+// own rows. `core/exec_context.hpp` owns the keyed plan cache and the
+// per-thread kernel scratch that complete the execution half.
 #pragma once
 
 #include <algorithm>
@@ -327,119 +329,13 @@ RowPartition<IT> build_flops_partition(const std::vector<std::int64_t>& flops,
 }
 
 // ---------------------------------------------------------------------------
-// Batched (mask, row) work-item partition
-// ---------------------------------------------------------------------------
-
-/// Work-item partition for the batched multi-mask path: items are
-/// (mask, row) pairs across the whole batch, bucketed by ⌊log₂ flops⌋ and
-/// dealt round-robin exactly like RowPartition. One global partition over
-/// the batch load-balances N skewed masks better than N per-mask partitions
-/// executed back to back: a mask whose admitted rows happen to be the heavy
-/// ones shares threads with the light masks instead of serializing behind
-/// its own hubs. Items whose output row is provably empty (zero flops, or —
-/// under a regular mask — an empty effective mask row) are omitted.
-template <class IT>
-struct BatchRowPartition {
-  struct Item {
-    IT row;
-    std::int32_t mask;  ///< index into the batch's mask array
-  };
-  std::vector<Item> items;              ///< concatenated per-list items
-  std::vector<std::size_t> list_begin;  ///< size lists()+1
-
-  [[nodiscard]] int lists() const {
-    return list_begin.empty() ? 0 : static_cast<int>(list_begin.size()) - 1;
-  }
-
-  [[nodiscard]] std::span<const Item> list(int l) const {
-    MSP_ASSERT(l >= 0 && l < lists());
-    return {items.data() + list_begin[static_cast<std::size_t>(l)],
-            list_begin[static_cast<std::size_t>(l) + 1] -
-                list_begin[static_cast<std::size_t>(l)]};
-  }
-};
-
-/// Build the global batched partition. `included(mask, row)` filters items
-/// beyond the flops > 0 requirement (the batch driver passes the per-mask
-/// empty-row test); the per-item weight is the shared flops vector, which
-/// models the push kernels' per-row cost independent of the mask.
-template <class IT, class Included>
-BatchRowPartition<IT> build_batch_partition(
-    const std::vector<std::int64_t>& flops, int n_masks, Included included,
-    int n_lists) {
-  n_lists = std::max(1, n_lists);
-  constexpr int kBuckets = 64;  // bucket = bit_width(flops), flops > 0
-  const std::size_t nrows = flops.size();
-  using Item = typename BatchRowPartition<IT>::Item;
-
-  std::vector<std::size_t> bucket_count(kBuckets, 0);
-  for (std::int32_t q = 0; q < n_masks; ++q) {
-    for (std::size_t i = 0; i < nrows; ++i) {
-      if (flops[i] > 0 && included(q, static_cast<IT>(i))) {
-        ++bucket_count[static_cast<std::size_t>(
-            std::bit_width(static_cast<std::uint64_t>(flops[i])))];
-      }
-    }
-  }
-  std::vector<std::size_t> bucket_pos(kBuckets, 0);
-  std::size_t total = 0;
-  for (int bkt = kBuckets - 1; bkt >= 0; --bkt) {
-    bucket_pos[static_cast<std::size_t>(bkt)] = total;
-    total += bucket_count[static_cast<std::size_t>(bkt)];
-  }
-  std::vector<Item> ordered(total);
-  for (std::int32_t q = 0; q < n_masks; ++q) {
-    for (std::size_t i = 0; i < nrows; ++i) {
-      if (flops[i] > 0 && included(q, static_cast<IT>(i))) {
-        const auto bkt = static_cast<std::size_t>(
-            std::bit_width(static_cast<std::uint64_t>(flops[i])));
-        ordered[bucket_pos[bkt]++] = Item{static_cast<IT>(i), q};
-      }
-    }
-  }
-
-  BatchRowPartition<IT> part;
-  part.items.resize(total);
-  part.list_begin.assign(static_cast<std::size_t>(n_lists) + 1, 0);
-  const std::size_t base = total / static_cast<std::size_t>(n_lists);
-  const std::size_t extra = total % static_cast<std::size_t>(n_lists);
-  for (int l = 0; l < n_lists; ++l) {
-    part.list_begin[static_cast<std::size_t>(l) + 1] =
-        part.list_begin[static_cast<std::size_t>(l)] + base +
-        (static_cast<std::size_t>(l) < extra ? 1 : 0);
-  }
-  for (std::size_t p = 0; p < total; ++p) {
-    const std::size_t l = p % static_cast<std::size_t>(n_lists);
-    const std::size_t k = p / static_cast<std::size_t>(n_lists);
-    part.items[part.list_begin[l] + k] = ordered[p];
-  }
-  // Within a list the order is irrelevant for balance (static lists, no
-  // stealing); sort by (mask, row) so each thread processes one mask's rows
-  // as a contiguous ascending run — one kernel construction per run, and
-  // the same near-sequential A/M walk as the single-mask partition.
-#pragma omp parallel for schedule(static)
-  for (int l = 0; l < n_lists; ++l) {
-    std::sort(part.items.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      part.list_begin[static_cast<std::size_t>(l)]),
-              part.items.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      part.list_begin[static_cast<std::size_t>(l) + 1]),
-              [](const Item& x, const Item& y) {
-                return x.mask != y.mask ? x.mask < y.mask : x.row < y.row;
-              });
-  }
-  return part;
-}
-
-// ---------------------------------------------------------------------------
 // Shareable CSC transpose of B
 // ---------------------------------------------------------------------------
 
 /// B's CSC transpose plus the CSR→CSC entry permutation used to re-gather
-/// values. Held by plans through a shared_ptr so the batched multi-mask
-/// path can build one transpose for all N plans of a batch (the structure
-/// depends only on B, not on the mask). The pattern is built once;
+/// values. Held by plans through a shared_ptr so a bound B handle can hand
+/// one transpose to every plan it feeds (the structure depends only on B,
+/// not on the mask). The pattern is built once;
 /// `refresh_values` re-gathers from the *current* B so that same-pattern
 /// value updates flow through (a stale-value cache would silently poison
 /// results).
@@ -553,10 +449,10 @@ struct SpgemmOperandHints {
 template <class IT, class VT, class MT>
 class SpgemmPlan {
  public:
-  /// `shared_flops` lets the batched multi-mask path hand every plan of a
-  /// batch the same per-row flops vector (computed once for the shared
-  /// A·B) instead of recounting it N times; when null the plan counts for
-  /// itself. The caller must only pass flops actually derived from (a, b).
+  /// `shared_flops` lets a bound A handle hand every plan over the same
+  /// A·B one per-row flops vector instead of each plan recounting it; when
+  /// null the plan counts for itself. The caller must only pass flops
+  /// actually derived from (a, b).
   SpgemmPlan(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
              const CsrMatrix<IT, MT>& m, MaskKind kind,
              MaskSemantics semantics,
@@ -596,8 +492,8 @@ class SpgemmPlan {
   [[nodiscard]] const std::vector<std::int64_t>& flops() const {
     return *flops_;
   }
-  /// Shareable handle on the flops vector, so sibling plans over the same
-  /// A·B (a batch) can be constructed without recounting.
+  /// Shareable handle on the flops vector (plans over the same A·B built
+  /// from one bound handle share it).
   [[nodiscard]] std::shared_ptr<const std::vector<std::int64_t>> flops_ptr()
       const {
     return flops_;
@@ -658,7 +554,7 @@ class SpgemmPlan {
   /// CSC transpose of B for the pull-based Inner kernel (structure built
   /// once, values re-gathered from the *current* B on every call; see
   /// CscTransposeCache). The cache object is created lazily here unless a
-  /// batch injected a shared one through adopt_csc() first.
+  /// bound B handle injected its own through adopt_csc() first.
   ///
   /// `values_version`, when nonzero, is the caller's monotonically bumped
   /// values version for this B (BoundMatrix handles): if the cache's
@@ -681,13 +577,6 @@ class SpgemmPlan {
     return b_csc_->csc;
   }
 
-  /// The plan's transpose cache (null until first Inner execution or
-  /// adopt_csc). The batch driver uses this to share one transpose across
-  /// every plan of a batch and to refresh each distinct cache exactly once.
-  [[nodiscard]] const std::shared_ptr<CscTransposeCache<IT, VT>>& csc_cache()
-      const {
-    return b_csc_;
-  }
   /// Inject a (possibly already built) shared transpose cache. A no-op if
   /// the plan already owns one — an existing cache may already be built for
   /// this B and must not be silently replaced.
@@ -713,7 +602,7 @@ class SpgemmPlan {
   /// `fresh_plan` marks a plan built *this call* (its artifacts already
   /// reflect the current matrices): it adopts the logs' current epochs
   /// without refreshing. A plan meeting a non-empty log it has no cursor
-  /// for (e.g. created by a raw or batched call that predates the log)
+  /// for (e.g. created by a raw call that predates the log)
   /// cannot tell how stale it is and conservatively refreshes every row.
   ///
   /// Returns the number of rows whose artifacts were recomputed.
@@ -893,7 +782,8 @@ class SpgemmPlan {
   }
 
   /// Copy-on-write flops refresh: the vector may be shared with sibling
-  /// plans of a batch, so dirty rows are recounted into a fresh copy.
+  /// plans and a bound handle, so dirty rows are recounted into a fresh
+  /// copy.
   void refresh_flops(const CsrMatrix<IT, VT>& a, const CsrMatrix<IT, VT>& b,
                      const std::vector<char>& dirty) {
     auto next = std::make_shared<std::vector<std::int64_t>>(*flops_);
@@ -1000,7 +890,7 @@ class SpgemmPlan {
   MaskSemantics semantics_;
 
   CsrMatrix<IT, MT> filtered_;  // valued semantics only
-  std::shared_ptr<const std::vector<std::int64_t>> flops_;  // batch-shareable
+  std::shared_ptr<const std::vector<std::int64_t>> flops_;  // shareable
   std::int64_t total_flops_ = 0;
 
   FlopsHistogram histogram_;            // lazy (histogram_built_)

@@ -210,7 +210,7 @@ class TiledEngine {
       MaskedSpgemmStats shard_stats;
       opt.stats = &shard_stats;
       part = engine_.context().multiply<SR>(*as, b, *ms, opt, &hints);
-      absorb_shard(agg, shard_stats);
+      agg.absorb(shard_stats);
     }
 
     std::size_t spills1 = 0;
@@ -324,22 +324,6 @@ class TiledEngine {
         row_flops(shard, b));
     flops_cache_.put(key, flops);
     return flops;
-  }
-
-  /// Fold one shard's execution stats into the call aggregate: timings and
-  /// sizes sum; the cache-hit / symbolic-skipped flags report the whole
-  /// call (true only when every shard hit / skipped).
-  static void absorb_shard(MaskedSpgemmStats& agg,
-                           const MaskedSpgemmStats& s) {
-    agg.symbolic_seconds += s.symbolic_seconds;
-    agg.numeric_seconds += s.numeric_seconds;
-    agg.assemble_seconds += s.assemble_seconds;
-    agg.plan_seconds += s.plan_seconds;
-    agg.output_nnz += s.output_nnz;
-    agg.bound_nnz += s.bound_nnz;
-    agg.total_flops += s.total_flops;
-    agg.plan_cache_hit = agg.plan_cache_hit && s.plan_cache_hit;
-    agg.symbolic_skipped = agg.symbolic_skipped && s.symbolic_skipped;
   }
 
   Engine engine_;

@@ -1,10 +1,11 @@
-// Tests for the batched multi-mask API (ExecutionContext::multiply_batch /
-// Engine::multiply_batch and the app-level batch entries): the batch must be
-// bit-identical to N sequential multiply() calls across Scheme × mask kind
-// × mask semantics × {int, int64_t}, including aliased and empty masks and
-// mixed warm/cold plans. Plus regression tests for this PR's bugfixes:
-// clear()/reset_stats() counter hygiene, the plan-cache fingerprint-
-// collision cross-check, and the complement-row hash-table capacity clamp.
+// Tests for the batched multi-mask API (Engine::multiply_batch and the
+// app-level batch entries): the batch must be bit-identical to N sequential
+// calls across Scheme × mask kind × mask semantics × {int, int64_t},
+// including aliased and empty masks and mixed warm/cold plans, and must
+// share A's and B's state across its masks through call-local bound
+// handles. Plus regression tests for clear()/reset_stats() counter
+// hygiene, the plan-cache fingerprint-collision cross-check, and the
+// complement-row hash-table capacity clamp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,8 +69,8 @@ void sweep_batch_vs_sequential() {
             run_config<SR, IT, double>(cfg, cse.a, cse.b, *masks[q]);
         EXPECT_TRUE(csr_equal(expected, batch[q])) << "mask " << q;
       }
-      // Replay: plans, structures, and the batch partition all come from
-      // the caches now; results must not change.
+      // Replay: plans and structures come from the cache now; results
+      // must not change.
       const auto warm = engine.multiply_batch<SR>(
           cfg.scheme, cse.a, cse.b, masks, cfg.kind, cfg.semantics);
       for (std::size_t q = 0; q < masks.size(); ++q) {
@@ -88,8 +89,8 @@ TEST(BatchConformance, MatchesSequentialOnFullCorpusInt64) {
 }
 
 TEST(BatchConformance, BitIdenticalToSequentialContextCalls) {
-  // Larger, skewed instance: the batch path (global partition, shared
-  // artifacts) against N sequential context multiplies, entry by entry.
+  // Larger, skewed instance: the batch (shared fingerprints, flops and
+  // transpose) against N sequential context multiplies, entry by entry.
   const auto a = erdos_renyi<int, double>(300, 8.0, 331);
   const auto b = erdos_renyi<int, double>(300, 8.0, 332);
   std::vector<CsrMatrix<int, double>> mask_store;
@@ -105,15 +106,16 @@ TEST(BatchConformance, BitIdenticalToSequentialContextCalls) {
     SCOPED_TRACE(scheme_name(s));
     MaskedSpgemmOptions opt;
     ASSERT_TRUE(scheme_to_options(s, opt));
-    ExecutionContext batch_ctx;
-    const auto batch = batch_ctx.multiply_batch<SR>(a, b, masks, opt);
+    Engine engine;
+    const auto batch = engine.multiply_batch<SR>(s, a, b, masks);
     ExecutionContext seq_ctx;
     for (std::size_t q = 0; q < masks.size(); ++q) {
       const auto seq = seq_ctx.multiply<SR>(a, b, *masks[q], opt);
       EXPECT_TRUE(csr_equal(seq, batch[q])) << "mask " << q;
     }
-    EXPECT_EQ(batch_ctx.cache_stats().batch_calls, 1u);
-    EXPECT_EQ(batch_ctx.cache_stats().batch_masks, masks.size());
+    // One plan per distinct mask, all built by this batch.
+    EXPECT_EQ(engine.cache_stats().plan_misses, masks.size());
+    EXPECT_EQ(engine.cache_stats().plan_hits, 0u);
   }
 }
 
@@ -123,27 +125,46 @@ TEST(BatchConformance, BitIdenticalToSequentialContextCalls) {
 
 TEST(MultiplyBatch, EmptyBatchAndNullMask) {
   const auto a = random_csr<int, double>(10, 10, 0.3, 501);
-  ExecutionContext ctx;
+  Engine engine;
   const std::vector<const CsrMatrix<int, double>*> none;
-  EXPECT_TRUE(ctx.multiply_batch<SR>(a, a, none).empty());
+  EXPECT_TRUE(engine.multiply_batch<SR>(Scheme::kMsa2P, a, a, none).empty());
   const std::vector<const CsrMatrix<int, double>*> bad = {nullptr};
-  EXPECT_THROW((ctx.multiply_batch<SR>(a, a, bad)), invalid_argument_error);
+  EXPECT_THROW((engine.multiply_batch<SR>(Scheme::kMsa2P, a, a, bad)),
+               invalid_argument_error);
+}
+
+TEST(MultiplyBatch, BadLastMaskThrowsBeforeAnyPlanIsBuilt) {
+  const auto a = random_csr<int, double>(20, 20, 0.2, 505);
+  const auto m = random_csr<int, double>(20, 20, 0.3, 506);
+  const auto wrong_shape = random_csr<int, double>(20, 19, 0.3, 507);
+  const std::vector<const CsrMatrix<int, double>*> lasts = {nullptr,
+                                                            &wrong_shape};
+  Engine engine;
+  for (const CsrMatrix<int, double>* last : lasts) {
+    const std::vector<const CsrMatrix<int, double>*> masks = {&m, &m, last};
+    EXPECT_THROW((engine.multiply_batch<SR>(Scheme::kMsa1P, a, a, masks)),
+                 invalid_argument_error);
+    // Every mask is validated up front: the good masks before the bad one
+    // never reached the plan cache.
+    EXPECT_EQ(engine.plan_count(), 0u);
+    EXPECT_EQ(engine.cache_stats().plan_misses, 0u);
+  }
 }
 
 TEST(MultiplyBatch, AliasedMasksShareOnePlan) {
   const auto a = random_csr<int, double>(40, 40, 0.2, 511);
   const auto b = random_csr<int, double>(40, 40, 0.2, 512);
   const auto m = random_csr<int, double>(40, 40, 0.3, 513);
-  ExecutionContext ctx;
+  Engine engine;
   const std::vector<const CsrMatrix<int, double>*> masks = {&m, &m, &m};
-  const auto outs = ctx.multiply_batch<SR>(a, b, masks);
+  const auto outs = engine.multiply_batch<SR>(Scheme::kMsa2P, a, b, masks);
   ASSERT_EQ(outs.size(), 3u);
   const auto expected = masked_multiply<SR>(a, b, m);
   for (const auto& c : outs) EXPECT_TRUE(csr_equal(expected, c));
   // One plan serves all three aliases: one miss, two hits.
-  EXPECT_EQ(ctx.plan_count(), 1u);
-  EXPECT_EQ(ctx.cache_stats().plan_misses, 1u);
-  EXPECT_EQ(ctx.cache_stats().plan_hits, 2u);
+  EXPECT_EQ(engine.plan_count(), 1u);
+  EXPECT_EQ(engine.cache_stats().plan_misses, 1u);
+  EXPECT_EQ(engine.cache_stats().plan_hits, 2u);
 }
 
 TEST(MultiplyBatch, WarmBatchHitsPlansAndSkipsSymbolic) {
@@ -151,23 +172,26 @@ TEST(MultiplyBatch, WarmBatchHitsPlansAndSkipsSymbolic) {
   const auto b = random_csr<int, double>(60, 60, 0.15, 522);
   const auto m1 = random_csr<int, double>(60, 60, 0.2, 523);
   const auto m2 = random_csr<int, double>(60, 60, 0.3, 524);
-  ExecutionContext ctx;
-  MaskedSpgemmOptions opt;
-  opt.phase = MaskedPhase::kTwoPhase;
+  Engine engine;
   const std::vector<const CsrMatrix<int, double>*> masks = {&m1, &m2};
 
   MaskedSpgemmStats first;
-  opt.stats = &first;
-  const auto cold = ctx.multiply_batch<SR>(a, b, masks, opt);
+  const auto cold = engine.multiply_batch<SR>(
+      Scheme::kMsa2P, a, b, masks, MaskKind::kMask,
+      MaskSemantics::kStructural, &first);
   EXPECT_FALSE(first.plan_cache_hit);
   EXPECT_FALSE(first.symbolic_skipped);
+  EXPECT_EQ(first.output_nnz, cold[0].nnz() + cold[1].nnz());
 
   MaskedSpgemmStats second;
-  opt.stats = &second;
-  const auto warm = ctx.multiply_batch<SR>(a, b, masks, opt);
+  const auto warm = engine.multiply_batch<SR>(
+      Scheme::kMsa2P, a, b, masks, MaskKind::kMask,
+      MaskSemantics::kStructural, &second);
   EXPECT_TRUE(second.plan_cache_hit);
   EXPECT_TRUE(second.symbolic_skipped);
   EXPECT_DOUBLE_EQ(second.symbolic_seconds, 0.0);
+  EXPECT_EQ(engine.cache_stats().plan_misses, 2u);
+  EXPECT_EQ(engine.cache_stats().plan_hits, 2u);
   for (std::size_t q = 0; q < masks.size(); ++q) {
     EXPECT_TRUE(csr_equal(cold[q], warm[q]));
   }
@@ -178,16 +202,22 @@ TEST(MultiplyBatch, MixedWarmColdBatch) {
   const auto b = random_csr<int, double>(50, 50, 0.2, 532);
   const auto warm_m = random_csr<int, double>(50, 50, 0.25, 533);
   const auto cold_m = random_csr<int, double>(50, 50, 0.25, 534);
-  ExecutionContext ctx;
-  MaskedSpgemmOptions opt;
-  opt.phase = MaskedPhase::kTwoPhase;
-  // Warm one mask through the sequential path; its plan (with adopted
-  // symbolic structure) must be reused by the batch next to a cold plan.
-  const auto warm_seq = ctx.multiply<SR>(a, b, warm_m, opt);
+  Engine engine;
+  // Warm one mask through a single call; its plan (with adopted symbolic
+  // structure) must be reused by the batch next to a cold plan.
+  const auto warm_seq =
+      engine.multiply_scheme<SR>(Scheme::kHash2P, a, b, warm_m);
   const std::vector<const CsrMatrix<int, double>*> masks = {&warm_m, &cold_m};
-  const auto outs = ctx.multiply_batch<SR>(a, b, masks, opt);
+  MaskedSpgemmStats stats;
+  const auto outs = engine.multiply_batch<SR>(
+      Scheme::kHash2P, a, b, masks, MaskKind::kMask,
+      MaskSemantics::kStructural, &stats);
   EXPECT_TRUE(csr_equal(warm_seq, outs[0]));
-  EXPECT_TRUE(csr_equal(masked_multiply<SR>(a, b, cold_m, opt), outs[1]));
+  EXPECT_TRUE(
+      csr_equal(run_fresh<SR>(Scheme::kHash2P, a, b, cold_m), outs[1]));
+  EXPECT_FALSE(stats.plan_cache_hit);  // the cold mask missed
+  EXPECT_EQ(engine.cache_stats().plan_hits, 1u);
+  EXPECT_EQ(engine.cache_stats().plan_misses, 2u);
 }
 
 TEST(MultiplyBatch, SharesFlopsAcrossColdPlans) {
@@ -195,15 +225,36 @@ TEST(MultiplyBatch, SharesFlopsAcrossColdPlans) {
   const auto b = random_csr<int, double>(40, 40, 0.2, 542);
   const auto m1 = random_csr<int, double>(40, 40, 0.3, 543);
   const auto m2 = random_csr<int, double>(40, 40, 0.3, 544);
-  ExecutionContext ctx;
+  Engine engine;
   const std::vector<const CsrMatrix<int, double>*> masks = {&m1, &m2};
-  (void)ctx.multiply_batch<SR>(a, b, masks);
-  auto& p1 = ctx.plan_for<int, double, double>(a, b, m1, MaskKind::kMask,
-                                               MaskSemantics::kStructural);
-  auto& p2 = ctx.plan_for<int, double, double>(a, b, m2, MaskKind::kMask,
-                                               MaskSemantics::kStructural);
+  (void)engine.multiply_batch<SR>(Scheme::kMsa1P, a, b, masks);
+  auto& p1 = engine.context().plan_for<int, double, double>(
+      a, b, m1, MaskKind::kMask, MaskSemantics::kStructural);
+  auto& p2 = engine.context().plan_for<int, double, double>(
+      a, b, m2, MaskKind::kMask, MaskSemantics::kStructural);
   // Both batch-built plans hold the *same* flops vector, not equal copies.
   EXPECT_EQ(p1.flops_ptr().get(), p2.flops_ptr().get());
+}
+
+TEST(MultiplyBatch, InnerBatchSeesInPlaceValueChangesOfB) {
+  const auto a = random_csr<int, double>(60, 60, 0.15, 546);
+  auto b = random_csr<int, double>(60, 60, 0.15, 547);
+  const auto m1 = random_csr<int, double>(60, 60, 0.3, 548);
+  const auto m2 = random_csr<int, double>(60, 60, 0.2, 549);
+  const std::vector<const CsrMatrix<int, double>*> masks = {&m1, &m2};
+  Engine engine;
+  (void)engine.multiply_batch<SR>(Scheme::kInner2P, a, b, masks);
+  // Same pattern, new values: the warm plans keep their transpose
+  // structure, and the next batch's fresh B handle carries a new values
+  // version, so the transpose values are gathered again.
+  for (double& v : b.values) v = 2.0 * v + 1.0;
+  const auto outs = engine.multiply_batch<SR>(Scheme::kInner2P, a, b, masks);
+  EXPECT_EQ(engine.cache_stats().plan_hits, masks.size());
+  for (std::size_t q = 0; q < masks.size(); ++q) {
+    EXPECT_TRUE(csr_equal(run_fresh<SR>(Scheme::kInner2P, a, b, *masks[q]),
+                          outs[q]))
+        << "mask " << q;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -340,35 +391,6 @@ TEST(PlanMismatch, CollidingKeysAreDemotedToMisses) {
   EXPECT_EQ(ctx.cache_stats().plan_mismatches, 2u);
 }
 
-TEST(PlanMismatch, BatchPartitionCacheSurvivesCollidingKeys) {
-  ExecutionContext ctx;
-  ctx.set_fingerprint_transform_for_testing(
-      +[](std::uint64_t) -> std::uint64_t { return 42; });
-
-  // Aliased masks within each batch: under the forced-constant transform
-  // two *distinct* same-shaped masks would collide into one plan, which is
-  // the equal-shape residual risk the cross-check deliberately does not
-  // claim to catch. The shape change between the batches is the case it
-  // does catch.
-  const auto a1 = random_csr<int, double>(40, 40, 0.2, 576);
-  const auto m1 = random_csr<int, double>(40, 40, 0.25, 577);
-  const std::vector<const CsrMatrix<int, double>*> batch1 = {&m1, &m1};
-  const auto out1 = ctx.multiply_batch<SR>(a1, a1, batch1);
-  EXPECT_TRUE(csr_equal(masked_multiply<SR>(a1, a1, m1), out1[0]));
-
-  // Smaller operands colliding into the same plan keys: the cached batch
-  // partition for batch1 (rows up to 39) must not be replayed against the
-  // 20-row operands — acquire_plan's mismatch purge plus the partition
-  // cache's own row-count cross-check both stand in the way.
-  const auto a2 = random_csr<int, double>(20, 20, 0.3, 579);
-  const auto m2 = random_csr<int, double>(20, 20, 0.3, 580);
-  const std::vector<const CsrMatrix<int, double>*> batch2 = {&m2, &m2};
-  const auto out2 = ctx.multiply_batch<SR>(a2, a2, batch2);
-  EXPECT_TRUE(csr_equal(masked_multiply<SR>(a2, a2, m2), out2[0]));
-  EXPECT_TRUE(csr_equal(masked_multiply<SR>(a2, a2, m2), out2[1]));
-  EXPECT_GT(ctx.cache_stats().plan_mismatches, 0u);
-}
-
 TEST(PlanMismatch, GenuineHitsStillHit) {
   ExecutionContext ctx;
   ctx.set_fingerprint_transform_for_testing(
@@ -435,46 +457,6 @@ TEST(DropExplicitZeros, MatchesSelectAndKeepsShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched (mask, row) partition
-// ---------------------------------------------------------------------------
-
-TEST(BatchPartition, CoversEveryIncludedItemExactlyOnce) {
-  const std::vector<std::int64_t> flops = {0, 5, 1000, 3, 0, 77, 2, 19};
-  const int n_masks = 3;
-  const auto included = [](std::int32_t q, int i) {
-    return q != 1 || i % 2 == 0;  // mask 1 admits even rows only
-  };
-  for (int lists : {1, 2, 4, 7}) {
-    const auto part =
-        build_batch_partition<int>(flops, n_masks, included, lists);
-    EXPECT_EQ(part.lists(), lists);
-    std::vector<std::vector<int>> seen(
-        n_masks, std::vector<int>(flops.size(), 0));
-    for (int l = 0; l < part.lists(); ++l) {
-      std::int32_t prev_mask = -1;
-      int prev_row = -1;
-      for (const auto& item : part.list(l)) {
-        ++seen[static_cast<std::size_t>(item.mask)]
-              [static_cast<std::size_t>(item.row)];
-        // Sorted by (mask, row) within a list: one kernel per run.
-        EXPECT_TRUE(item.mask > prev_mask ||
-                    (item.mask == prev_mask && item.row > prev_row));
-        prev_mask = item.mask;
-        prev_row = item.row;
-      }
-    }
-    for (int q = 0; q < n_masks; ++q) {
-      for (std::size_t i = 0; i < flops.size(); ++i) {
-        const int expect =
-            (flops[i] > 0 && included(q, static_cast<int>(i))) ? 1 : 0;
-        EXPECT_EQ(seen[static_cast<std::size_t>(q)][i], expect)
-            << "mask " << q << " row " << i;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // App-level batch paths
 // ---------------------------------------------------------------------------
 
@@ -501,7 +483,8 @@ TEST(AppBatch, TriangleSupportBatchMatchesSequential) {
     const auto batched = triangle_support_batch(input, masks, s, engine);
     EXPECT_EQ(sequential, batched);
     EXPECT_EQ(batched[2], 0);
-    EXPECT_EQ(engine.cache_stats().batch_calls, 1u);
+    EXPECT_EQ(engine.cache_stats().plan_misses, masks.size());
+    EXPECT_EQ(engine.cache_stats().plan_hits, 0u);
     EXPECT_EQ(batched[0], triangle_count(input, s, engine).triangles);
   }
 }

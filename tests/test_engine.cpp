@@ -145,6 +145,11 @@ TEST(EngineConformance, BatchMatchesSequential) {
     Engine engine;
     const auto batch = engine.multiply_batch<PlusTimes<VT>>(s, a, a, masks);
     ASSERT_EQ(batch.size(), masks.size());
+    // A is bound once for the whole batch: the context hashes only the
+    // masks (the planless baseline hashes nothing).
+    EXPECT_EQ(engine.cache_stats().fingerprints_computed,
+              s == Scheme::kSsSaxpy ? 0u : masks.size())
+        << scheme_name(s);
     Engine seq;
     for (std::size_t q = 0; q < masks.size(); ++q) {
       const auto one =
@@ -237,11 +242,13 @@ TEST(EngineErrors, ComplementedMcaThrowsTypedErrorEverywhere) {
     dyn.mask_kind = MaskKind::kComplement;
     EXPECT_THROW((void)engine.multiply_dyn(a, a, m, dyn),
                  unsupported_scheme_error);
-    // Batch path.
+    // Batch path: rejected before any plan is built.
+    const std::size_t plans_before = engine.plan_count();
     const std::vector<const CsrMatrix<IT, VT>*> masks = {&m};
     EXPECT_THROW((void)engine.multiply_batch<PlusTimes<VT>>(
                      s, a, a, masks, MaskKind::kComplement),
                  unsupported_scheme_error);
+    EXPECT_EQ(engine.plan_count(), plans_before);
     // The typed error is still an invalid_argument_error for old callers.
     EXPECT_THROW((void)engine.multiply(a, a).mask(m).scheme(s).complement()
                      .run(),

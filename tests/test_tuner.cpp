@@ -288,7 +288,8 @@ TEST(EngineTuned, BuilderAndBatchPathsBitIdentical) {
       engine.multiply(a, b).mask(m1).scheme(Scheme::kAuto).run();
   EXPECT_TRUE(csr_equal(expected1, built));
 
-  // Batched path through a tuned engine.
+  // Batched path through a tuned engine: kAuto resolves per mask, exactly
+  // as sequential calls on another tuned engine do.
   Engine tuned;
   tuned.tuned(profile);
   const std::vector<const CsrMatrix<int, double>*> masks = {&m1, &m2};
@@ -297,6 +298,13 @@ TEST(EngineTuned, BuilderAndBatchPathsBitIdentical) {
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_TRUE(csr_equal(expected1, batch[0]));
   EXPECT_TRUE(csr_equal(expected2, batch[1]));
+  Engine seq;
+  seq.tuned(profile);
+  for (const CsrMatrix<int, double>* m : masks) {
+    (void)seq.multiply_scheme<PlusTimes<double>>(Scheme::kAuto, a, b, *m);
+  }
+  EXPECT_EQ(tuned.plan_count(), seq.plan_count());
+  EXPECT_EQ(tuned.cache_stats().plan_misses, seq.cache_stats().plan_misses);
 
   // untuned() really reverts: same engine, selector dropped.
   tuned.untuned();
