@@ -68,7 +68,9 @@ struct MaskedSpgemmStats {
   /// already carried the output row pointers.
   bool symbolic_skipped = false;
   /// Plan-based execution only: flops(A·B) from the plan — free for
-  /// callers that would otherwise rescan A/B (GFLOPS metrics, k-truss).
+  /// callers that would otherwise rescan A/B (GFLOPS metrics, k-truss). A
+  /// call answered by the Engine's result splice reports the flops of the
+  /// rows it recomputed.
   std::int64_t total_flops = 0;
   /// Plan-based execution only: rows whose plan artifacts (flops, bounds,
   /// symbolic rowptr) were recomputed by a partial refresh this call —

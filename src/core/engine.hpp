@@ -13,7 +13,8 @@
 //    operand's fingerprint, per-row flops, and CSC-transpose cache to the
 //    handle, so repeated calls never re-fingerprint. They are the one way
 //    operand state is shared: `multiply_batch` is a loop of
-//    `multiply_scheme` calls over call-local handles of A and B;
+//    `multiply_scheme` calls over the caller's handles of A and B, or
+//    call-local ones;
 //  * a fluent builder for compile-time-typed callers:
 //
 //        Engine engine;
@@ -39,7 +40,8 @@
 //    touched rows to the operand's bound handle, and an incremental result
 //    splice: with all three operands bound, the engine keeps the newest
 //    results (a small FIFO, util/bounded_cache.hpp) and recomputes only
-//    the rows dirtied since.
+//    the rows dirtied since, in one numeric pass over those rows of the
+//    full operands — no plan, no symbolic pass, one assembly copy.
 //
 // The entry points are exactly those some caller needs: the builder
 // (examples, tests), `multiply_scheme` (the apps, the builder's and the
@@ -54,6 +56,7 @@
 // (tests/test_engine.cpp) pins all of them to the same baseline.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -75,6 +78,7 @@
 #include "semiring/semiring.hpp"
 #include "util/bounded_cache.hpp"
 #include "util/common.hpp"
+#include "util/timer.hpp"
 
 namespace msp {
 
@@ -310,34 +314,31 @@ class Engine {
       hints.m_dirty = m_handle->dirty_log();
       any_hint = true;
     }
-    if (a_handle != nullptr && hints.fa.has_value() &&
-        hints.fb.has_value()) {
-      hints.flops = a_handle->flops_with(b, *hints.fb, hints.b_dirty);
-    }
-
     // --- incremental result splice ----------------------------------------
     // With all three operands bound and A in identity-fingerprint mode
     // (every mutation of A flows through its dirty log), the engine keeps
     // the previous result per configuration. Masked SpGEMM is row-local —
     // C(i,:) = M(i,:) ⊙ (A(i,:)·B) — so when only a few row runs of A
     // changed since that result (B and M untouched, checked via their
-    // values versions), the query recomputes exactly those runs and
-    // stitches them into the cached rows: the same row-block decomposition
-    // the sharded path is built on, hence bit-identical to a full rebuild.
-    // kAuto is excluded — its per-call algorithm choice on a row slice
-    // could differ from the full-matrix choice and change the floating-
-    // point summation order.
+    // values versions), the query recomputes exactly those rows in one
+    // numeric pass over the full operands (ExecutionContext::multiply_rows:
+    // the scheme's own kernel and numeric_row, no plan, no fingerprint, no
+    // symbolic pass for a regular mask) and assembles the new result from
+    // the cached rows and the recomputed ones in one copy. Every row runs
+    // the numeric_row the full product runs, so the splice is bit-identical
+    // to it. kAuto is excluded: it resolves its algorithm and phase from
+    // the flops of the whole product, which the splice never counts.
     const bool splice_eligible =
-        scheme != Scheme::kAuto && hints.fa.has_value() &&
-        hints.fb.has_value() && hints.fm.has_value() &&
-        a_handle->dirty_log() != nullptr;
+        scheme != Scheme::kAuto && b_handle != nullptr &&
+        hints.fa.has_value() && hints.fb.has_value() &&
+        hints.fm.has_value() && a_handle->dirty_log() != nullptr;
     const ResultKey result_key{
         std::type_index(
             typeid(std::tuple<SR, CsrMatrix<IT, VT>, CsrMatrix<IT, MT>>)),
         scheme, kind, semantics, hints.fa.value_or(0), hints.fb.value_or(0),
         hints.fm.value_or(0)};
-    // The entry is copied out (its result is shared), not held: the slice
-    // multiplies below must not rely on the cache leaving it in place.
+    // The entry is copied out (its result is shared), not held: the put
+    // below replaces it in the cache.
     const ResultEntry* found =
         splice_eligible ? results_.find(result_key) : nullptr;
     if (found != nullptr &&
@@ -348,67 +349,77 @@ class Engine {
       const StructureDirtyLog<IT>& log = *a_handle->dirty_log();
       std::vector<std::pair<IT, IT>> runs;
       for (const auto& r : log.ranges_since(cached.a_epoch)) {
-        runs.emplace_back(std::max<IT>(r.begin, 0),
-                          std::min<IT>(r.end, a.nrows));
+        const IT lo = std::max<IT>(r.begin, 0);
+        const IT hi = std::min<IT>(r.end, a.nrows);
+        if (lo < hi) runs.emplace_back(lo, hi);
       }
       std::sort(runs.begin(), runs.end());
       runs = coalesce_dirty_ranges<IT>(runs);
       std::size_t dirty_rows = 0;
       for (const auto& [lo, hi] : runs) {
-        dirty_rows += hi > lo ? static_cast<std::size_t>(hi - lo) : 0;
+        dirty_rows += static_cast<std::size_t>(hi - lo);
       }
       const auto& prev =
           *static_cast<const CsrMatrix<IT, VT>*>(cached.result.get());
       // The cached previous result must have the exact output shape the
-      // current operands produce, or stitching row blocks into it would
-      // silently serve a result for different operands.
+      // current operands produce, or splicing rows into it would silently
+      // serve a result for different operands.
       MSP_CHECK_SPLICE(prev, a.nrows, b.ncols, "Engine::multiply_scheme");
       if (dirty_rows == 0) {
         if (stats != nullptr) {
+          *stats = {};
           stats->plan_cache_hit = true;
           stats->symbolic_skipped = true;
+          stats->output_nnz = prev.nnz();
         }
         ctx_.record_splice(0);
         return prev;
       }
       if (dirty_rows * 2 < static_cast<std::size_t>(a.nrows)) {
-        std::vector<CsrMatrix<IT, VT>> parts;
-        IT cursor = 0;
+        std::vector<IT> rows;
+        rows.reserve(dirty_rows);
         for (const auto& [lo, hi] : runs) {
-          if (hi <= lo) continue;
-          if (cursor < lo) parts.push_back(slice_rows(prev, cursor, lo));
-          const CsrMatrix<IT, VT> a_blk = slice_rows(a, lo, hi);
-          const CsrMatrix<IT, MT> m_blk = slice_rows(m, lo, hi);
-          // Recompute the dirty block with the same scheme; B keeps its
-          // handle so the slice multiply reuses B's fingerprint (and CSC
-          // cache for inner-product schemes) instead of rehashing B.
-          parts.push_back(multiply_scheme<SR>(scheme, a_blk, b, m_blk, kind,
-                                              semantics, nullptr, nullptr,
-                                              b_handle));
-          cursor = hi;
+          for (IT i = lo; i < hi; ++i) rows.push_back(i);
         }
-        if (cursor < a.nrows) {
-          parts.push_back(slice_rows(prev, cursor, a.nrows));
-        }
-        CsrMatrix<IT, VT> out = stitch_row_blocks(parts, b.ncols);
-        MSP_CHECK_SPLICE(out, a.nrows, b.ncols, "Engine::multiply_scheme");
-        MSP_CHECK_CSR(out, "Engine::multiply_scheme(splice)");
-        results_.put(result_key,
-                     {cached.a_log_id, log.epoch(), cached.b_values_version,
-                      cached.m_values_version,
-                      std::make_shared<CsrMatrix<IT, VT>>(out)});
+        MaskedSpgemmOptions opt;
+        opt.mask_kind = kind;
+        opt.mask_semantics = semantics;
+        scheme_to_options(scheme, opt);
+        MaskedSpgemmStats row_stats;
+        opt.stats = &row_stats;
+        // Inner reads B's transpose from B's handle: built once, values
+        // re-gathered only when B's values version moved.
+        const CscMatrix<IT, VT>* b_csc =
+            opt.algorithm == MaskedAlgorithm::kInner
+                ? &b_handle->csc_cache()->ensure(b, b_handle->values_version())
+                : nullptr;
+        const auto fresh = ctx_.multiply_rows<SR>(a, b, m, opt, rows, b_csc);
+        Timer assemble_timer;
+        auto out = std::make_shared<CsrMatrix<IT, VT>>(
+            splice_rows(prev, runs, fresh));
+        row_stats.assemble_seconds += assemble_timer.seconds();
+        MSP_CHECK_SPLICE(*out, a.nrows, b.ncols, "Engine::multiply_scheme");
+        MSP_CHECK_CSR(*out, "Engine::multiply_scheme(splice)");
+        results_.put(result_key, {cached.a_log_id, log.epoch(),
+                                  cached.b_values_version,
+                                  cached.m_values_version, out});
         if (stats != nullptr) {
+          *stats = row_stats;
+          stats->output_nnz = out->nnz();
           stats->plan_cache_hit = true;
-          stats->symbolic_skipped = true;
-          stats->plan_rows_refreshed += dirty_rows;
+          stats->plan_rows_refreshed = dirty_rows;
         }
         ctx_.record_splice(dirty_rows);
-        return out;
+        return *out;
       }
       // Too much of the matrix is dirty: the full path below is cheaper
       // and refreshes the cache entry on its way out.
     }
 
+    if (a_handle != nullptr && hints.fa.has_value() &&
+        hints.fb.has_value()) {
+      hints.flops = a_handle->flops_with(b, *hints.fb, hints.b_dirty);
+    }
     MaskedSpgemmOptions opt;
     opt.mask_kind = kind;
     opt.mask_semantics = semantics;
@@ -448,12 +459,14 @@ class Engine {
   }
 
   /// Batched counterpart: N masks against one A·B, answered as N
-  /// multiply_scheme calls over call-local bound handles of A and B — so A
-  /// and B are fingerprinted once per batch and cold plans share one flops
-  /// vector and one transpose through the handles. kAuto resolves per mask.
-  /// Bit-identical to N sequential multiply_scheme calls by construction.
-  /// Every mask is checked (null, shape) before any plan is built. `stats`,
-  /// when set, receives the batch aggregate: times, nnz and bounds summed,
+  /// multiply_scheme calls over bound handles of A and B — the caller's
+  /// (`a_handle`/`b_handle`, as for multiply_scheme), else call-local ones —
+  /// so A and B are fingerprinted at most once per batch, never with the
+  /// caller's handles, and cold plans share one flops vector and one
+  /// transpose through the handles. kAuto resolves per mask. Bit-identical
+  /// to N sequential multiply_scheme calls by construction. Every mask is
+  /// checked (null, shape) before any plan is built. `stats`, when set,
+  /// receives the batch aggregate: times, nnz and bounds summed,
   /// plan_cache_hit / symbolic_skipped only if they held for every mask.
   template <Semiring SR, class IT, class VT, class MT>
   std::vector<CsrMatrix<IT, VT>> multiply_batch(
@@ -461,7 +474,9 @@ class Engine {
       const std::vector<const CsrMatrix<IT, MT>*>& masks,
       MaskKind kind = MaskKind::kMask,
       MaskSemantics semantics = MaskSemantics::kStructural,
-      MaskedSpgemmStats* stats = nullptr) {
+      MaskedSpgemmStats* stats = nullptr,
+      const std::type_identity_t<BoundMatrix<IT, VT>>* a_handle = nullptr,
+      const std::type_identity_t<BoundMatrix<IT, VT>>* b_handle = nullptr) {
     require_scheme_supports(scheme, kind);
     for (const CsrMatrix<IT, MT>* m : masks) {
       if (m == nullptr) {
@@ -469,8 +484,13 @@ class Engine {
       }
       detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, *m);
     }
-    const BoundMatrix<IT, VT> ah(a);
-    const BoundMatrix<IT, VT> bh = &b == &a ? ah : BoundMatrix<IT, VT>(b);
+    const BoundMatrix<IT, VT> ah =
+        a_handle != nullptr && a_handle->bound() ? *a_handle
+                                                 : BoundMatrix<IT, VT>(a);
+    const BoundMatrix<IT, VT> bh =
+        b_handle != nullptr && b_handle->bound() ? *b_handle
+        : &b == &a                               ? ah
+                                                 : BoundMatrix<IT, VT>(b);
     MaskedSpgemmStats agg;
     agg.plan_cache_hit = true;
     agg.symbolic_skipped = true;
@@ -621,6 +641,45 @@ class Engine {
     }
     return scheme == Scheme::kSsDot ? baseline_dot<SR>(a, b, m, kind)
                                     : baseline_saxpy<SR>(a, b, m, kind);
+  }
+
+  /// The spliced result: `prev`'s rows outside `runs` (sorted, disjoint)
+  /// and the recomputed rows inside them (`fresh`, one row per run row, in
+  /// run order), copied once, block by block, into the new matrix.
+  template <class IT, class VT>
+  static CsrMatrix<IT, VT> splice_rows(
+      const CsrMatrix<IT, VT>& prev, const std::vector<std::pair<IT, IT>>& runs,
+      const CsrMatrix<IT, VT>& fresh) {
+    CsrMatrix<IT, VT> out(prev.nrows, prev.ncols);
+    std::size_t replaced = 0;
+    for (const auto& [lo, hi] : runs) {
+      replaced += static_cast<std::size_t>(prev.rowptr[hi] - prev.rowptr[lo]);
+    }
+    out.colids.reserve(prev.nnz() - replaced + fresh.nnz());
+    out.values.reserve(prev.nnz() - replaced + fresh.nnz());
+    // Rows [lo, hi) of `src` become the next rows of `out`, starting at
+    // output row `at`.
+    auto append = [&](const CsrMatrix<IT, VT>& src, IT lo, IT hi, IT at) {
+      const IT shift = static_cast<IT>(out.colids.size()) - src.rowptr[lo];
+      for (IT i = lo; i < hi; ++i) {
+        out.rowptr[at + (i - lo)] = src.rowptr[i] + shift;
+      }
+      out.colids.insert(out.colids.end(), src.colids.begin() + src.rowptr[lo],
+                        src.colids.begin() + src.rowptr[hi]);
+      out.values.insert(out.values.end(), src.values.begin() + src.rowptr[lo],
+                        src.values.begin() + src.rowptr[hi]);
+    };
+    IT cursor = 0;
+    IT k = 0;  // next row of `fresh`
+    for (const auto& [lo, hi] : runs) {
+      append(prev, cursor, lo, cursor);
+      append(fresh, k, k + (hi - lo), lo);
+      k += hi - lo;
+      cursor = hi;
+    }
+    append(prev, cursor, prev.nrows, cursor);
+    out.rowptr[prev.nrows] = static_cast<IT>(out.colids.size());
+    return out;
   }
 
   /// The configuration a cached splice result answers: semiring and

@@ -18,7 +18,10 @@
 // same baseline). Operand state that outlives one call (fingerprints, the
 // per-row flops vector, B's transpose) arrives through hints from bound
 // handles (core/bound_matrix.hpp); many masks against one A·B is
-// `Engine::multiply_batch`, a loop of such calls. An ExecutionContext must
+// `Engine::multiply_batch`, a loop of such calls. `multiply_rows` computes
+// just a list of output rows, planless, for the Engine's incremental result
+// splice; it shares the kernel switch and the per-thread scratch with
+// `multiply`. An ExecutionContext must
 // not be shared by concurrent callers — it is designed for one caller
 // issuing a stream of multiplies, each of which parallelizes internally.
 #pragma once
@@ -294,68 +297,89 @@ class ExecutionContext {
         plan.has_structure() ? &plan.structure_rowptr() : nullptr;
     std::vector<IT>* sink = plan.structure_sink();
 
-    auto run = [&](auto&& factory) {
-      if (phase == MaskedPhase::kOnePhase) {
-        return detail::run_one_phase<IT, VT>(m.nrows, b.ncols, *ub, factory,
-                                             opt.chunk_rows, opt.stats,
-                                             &partition, sink);
-      }
-      return detail::run_two_phase<IT, VT>(m.nrows, b.ncols, factory,
-                                           opt.chunk_rows, opt.stats,
-                                           &partition, cached_rowptr, sink);
-    };
+    return detail::with_kernel<SR>(
+        opt, a, b, b_csc, mm, plan.flops().data(), lend(),
+        [&](auto&& factory) {
+          if (phase == MaskedPhase::kOnePhase) {
+            return detail::run_one_phase<IT, VT>(m.nrows, b.ncols, *ub,
+                                                 factory, opt.chunk_rows,
+                                                 opt.stats, &partition, sink);
+          }
+          return detail::run_two_phase<IT, VT>(m.nrows, b.ncols, factory,
+                                               opt.chunk_rows, opt.stats,
+                                               &partition, cached_rowptr,
+                                               sink);
+        });
+  }
 
-    switch (opt.algorithm) {
-      case MaskedAlgorithm::kMsa: {
-        using K = MsaKernel<SR, IT, VT, MT>;
-        return run([&](int tid) {
-          return K(a, b, mm, complemented,
-                   &scratch<typename K::Scratch>(tid));
+  /// C(i,:) for the listed rows only (`rows` sorted, distinct), computed
+  /// on the full operands with opt's kernel: row k of the result is row
+  /// rows[k] of the product. No plan, no fingerprint, and no symbolic pass
+  /// for a regular mask, whose row i bounds the output row: nnz(C(i,:)) ≤
+  /// nnz(M(i,:)) (paper §6). A complemented mask has no such bound, so its
+  /// rows are counted with the kernel's symbolic_row first. Both phases run
+  /// the same numeric_row and masked SpGEMM is row-local, so each row is
+  /// bit-identical to the same row of `multiply`, whatever opt.phase says.
+  /// `b_csc` is B's transpose, required for Inner. `opt.stats` receives the
+  /// phase times, nnz and the flops of the listed rows.
+  template <Semiring SR, class IT, class VT, class MT>
+  CsrMatrix<IT, VT> multiply_rows(const CsrMatrix<IT, VT>& a,
+                                  const CsrMatrix<IT, VT>& b,
+                                  const CsrMatrix<IT, MT>& m,
+                                  const MaskedSpgemmOptions& opt,
+                                  const std::vector<IT>& rows,
+                                  const CscMatrix<IT, VT>* b_csc = nullptr) {
+    detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, m);
+    const bool complemented = opt.mask_kind == MaskKind::kComplement;
+    if (complemented && opt.algorithm == MaskedAlgorithm::kMca) {
+      throw invalid_argument_error("MCA does not support complemented masks");
+    }
+    if (opt.algorithm == MaskedAlgorithm::kInner && b_csc == nullptr) {
+      throw invalid_argument_error("multiply_rows: Inner needs B's transpose");
+    }
+    CsrMatrix<IT, MT> filtered;
+    if (opt.mask_semantics == MaskSemantics::kValued) {
+      filtered = drop_explicit_zeros_in_rows(m, rows);
+    }
+    const CsrMatrix<IT, MT>& mm =
+        opt.mask_semantics == MaskSemantics::kValued ? filtered : m;
+    prepare_threads(max_threads());
+    const auto n = static_cast<IT>(rows.size());
+    CsrMatrix<IT, VT> out = detail::with_kernel<SR>(
+        opt, a, b, b_csc, mm, nullptr, lend(), [&](auto&& factory) {
+          const auto listed = detail::listed_rows(factory, rows);
+          if (complemented) {
+            return detail::run_two_phase<IT, VT>(n, b.ncols, listed,
+                                                 opt.chunk_rows, opt.stats);
+          }
+          std::vector<std::size_t> ub(rows.size());
+          for (std::size_t k = 0; k < rows.size(); ++k) {
+            ub[k] = static_cast<std::size_t>(mm.row_nnz(rows[k]));
+          }
+          return detail::run_one_phase<IT, VT>(n, b.ncols, ub, listed,
+                                               opt.chunk_rows, opt.stats);
         });
-      }
-      case MaskedAlgorithm::kHash: {
-        using K = HashKernel<SR, IT, VT, MT>;
-        return run([&](int tid) {
-          return K(a, b, mm, complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kMca: {
-        using K = McaKernel<SR, IT, VT, MT>;
-        return run([&](int tid) {
-          return K(a, b, mm, complemented,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kHeap:
-      case MaskedAlgorithm::kHeapDot: {
-        using K = HeapKernel<SR, IT, VT, MT>;
-        const long fallback =
-            opt.algorithm == MaskedAlgorithm::kHeap ? 1 : kInspectAll;
-        const long inspect =
-            opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : fallback;
-        return run([&, inspect](int tid) {
-          return K(a, b, mm, complemented, inspect,
-                   &scratch<typename K::Scratch>(tid));
-        });
-      }
-      case MaskedAlgorithm::kInner: {
-        using K = InnerKernel<SR, IT, VT, MT>;
-        return run([&](int) { return K(a, *b_csc, mm, complemented); });
-      }
-      case MaskedAlgorithm::kAdaptive: {
-        using K = AdaptiveKernel<SR, IT, VT, MT>;
-        return run([&](int tid) {
-          return K(a, b, mm, complemented,
-                   typename K::Policy{.table = opt.route_table},
-                   plan.flops().data(), &scratch<typename K::Scratch>(tid));
-        });
+    if (opt.stats != nullptr) {
+      opt.stats->symbolic_skipped = !complemented;
+      opt.stats->total_flops = 0;
+      for (IT i : rows) {
+        for (IT p = a.rowptr[i]; p < a.rowptr[i + 1]; ++p) {
+          opt.stats->total_flops += b.row_nnz(a.colids[p]);
+        }
       }
     }
-    throw invalid_argument_error("ExecutionContext: unknown algorithm");
+    return out;
   }
 
  private:
+  /// The scratch lender the kernel switch (detail::with_kernel) hands
+  /// each thread's kernel: this context's per-thread scratch.
+  auto lend() {
+    return [this](auto tag, int tid) {
+      return &scratch<typename decltype(tag)::type>(tid);
+    };
+  }
+
   /// Everything a plan depends on: the three operand patterns (by
   /// fingerprint), the mask kind and semantics, and the plan's index and
   /// value types.

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -218,6 +219,32 @@ CsrMatrix<IT, VT> run_two_phase(IT nrows, IT ncols, KernelFactory make_kernel,
   return out;
 }
 
+/// A row kernel over a row list: position k stands for row rows[k] of the
+/// full operands, so the one- and two-phase drivers compute just the listed
+/// rows (row k of their result is row rows[k] of the product) and the cost
+/// follows those rows' flops, not the matrix (the Engine's result splice).
+template <class Kernel, class IT>
+struct ListedRowKernel {
+  Kernel kernel;
+  const IT* rows;
+
+  template <class VT>
+  IT numeric_row(IT k, IT* out_cols, VT* out_vals) {
+    return kernel.numeric_row(rows[k], out_cols, out_vals);
+  }
+  IT symbolic_row(IT k) { return kernel.symbolic_row(rows[k]); }
+};
+
+/// Row-list driver factory: wraps `make_kernel` so the drivers run over
+/// `rows` (sorted, distinct; must outlive the drivers' use).
+template <class IT, class KernelFactory>
+auto listed_rows(KernelFactory make_kernel, const std::vector<IT>& rows) {
+  return [make_kernel, rows = rows.data()](int tid) {
+    return ListedRowKernel<decltype(make_kernel(tid)), IT>{make_kernel(tid),
+                                                          rows};
+  };
+}
+
 /// Per-row one-phase output bounds (see file header).
 template <class IT, class VT, class MT>
 std::vector<std::size_t> one_phase_bounds(const CsrMatrix<IT, VT>& a,
@@ -256,6 +283,71 @@ CsrMatrix<IT, VT> run_with_phase(IT nrows, IT ncols,
   }
   return run_two_phase<IT, VT>(nrows, ncols, make_kernel, opt.chunk_rows,
                                opt.stats);
+}
+
+/// The one kernel-construction switch, shared by every driver caller:
+/// calls `run(make_kernel)` with the per-thread kernel factory of
+/// `opt.algorithm` over A, B and the mask `m` the kernels see, and returns
+/// what `run` returns. `lend(std::type_identity<S>{}, tid)` lends thread
+/// `tid` a scratch of type S (null: each kernel owns its scratch); `b_csc`
+/// is B's transpose, read by Inner only; `flops`, when set, holds the
+/// per-row flops the adaptive kernel routes by (null: counted per row).
+template <Semiring SR, class IT, class VT, class MT, class Lend, class Run>
+auto with_kernel(const MaskedSpgemmOptions& opt, const CsrMatrix<IT, VT>& a,
+                 const CsrMatrix<IT, VT>& b,
+                 std::type_identity_t<const CscMatrix<IT, VT>*> b_csc,
+                 const CsrMatrix<IT, MT>& m, const std::int64_t* flops,
+                 Lend&& lend, Run&& run) {
+  const bool complemented = opt.mask_kind == MaskKind::kComplement;
+  switch (opt.algorithm) {
+    case MaskedAlgorithm::kMsa: {
+      using K = MsaKernel<SR, IT, VT, MT>;
+      return run([&](int tid) {
+        return K(a, b, m, complemented,
+                 lend(std::type_identity<typename K::Scratch>{}, tid));
+      });
+    }
+    case MaskedAlgorithm::kHash: {
+      using K = HashKernel<SR, IT, VT, MT>;
+      return run([&](int tid) {
+        return K(a, b, m, complemented,
+                 lend(std::type_identity<typename K::Scratch>{}, tid));
+      });
+    }
+    case MaskedAlgorithm::kMca: {
+      using K = McaKernel<SR, IT, VT, MT>;
+      return run([&](int tid) {
+        return K(a, b, m, complemented,
+                 lend(std::type_identity<typename K::Scratch>{}, tid));
+      });
+    }
+    case MaskedAlgorithm::kHeap:
+    case MaskedAlgorithm::kHeapDot: {
+      using K = HeapKernel<SR, IT, VT, MT>;
+      const long fallback =
+          opt.algorithm == MaskedAlgorithm::kHeap ? 1 : kInspectAll;
+      const long inspect =
+          opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : fallback;
+      return run([&, inspect](int tid) {
+        return K(a, b, m, complemented, inspect,
+                 lend(std::type_identity<typename K::Scratch>{}, tid));
+      });
+    }
+    case MaskedAlgorithm::kInner: {
+      using K = InnerKernel<SR, IT, VT, MT>;
+      MSP_ASSERT(b_csc != nullptr);
+      return run([&](int) { return K(a, *b_csc, m, complemented); });
+    }
+    case MaskedAlgorithm::kAdaptive: {
+      using K = AdaptiveKernel<SR, IT, VT, MT>;
+      return run([&](int tid) {
+        return K(a, b, m, complemented,
+                 typename K::Policy{.table = opt.route_table}, flops,
+                 lend(std::type_identity<typename K::Scratch>{}, tid));
+      });
+    }
+  }
+  throw invalid_argument_error("masked SpGEMM: unknown algorithm");
 }
 
 }  // namespace detail
@@ -342,52 +434,12 @@ CsrMatrix<IT, VT> masked_multiply(const CsrMatrix<IT, VT>& a,
     ub_ptr = &ub;
   }
 
-  switch (opt.algorithm) {
-    case MaskedAlgorithm::kMsa: {
-      auto f = [&](int) {
-        return MsaKernel<SR, IT, VT, MT>(a, b, m, complemented);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
-    case MaskedAlgorithm::kHash: {
-      auto f = [&](int) {
-        return HashKernel<SR, IT, VT, MT>(a, b, m, complemented);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
-    case MaskedAlgorithm::kMca: {
-      auto f = [&](int) {
-        return McaKernel<SR, IT, VT, MT>(a, b, m, complemented);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
-    case MaskedAlgorithm::kHeap: {
-      const long inspect = opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : 1;
-      auto f = [&, inspect](int) {
-        return HeapKernel<SR, IT, VT, MT>(a, b, m, complemented, inspect);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
-    case MaskedAlgorithm::kHeapDot: {
-      const long inspect =
-          opt.heap_n_inspect >= 0 ? opt.heap_n_inspect : kInspectAll;
-      auto f = [&, inspect](int) {
-        return HeapKernel<SR, IT, VT, MT>(a, b, m, complemented, inspect);
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
-    case MaskedAlgorithm::kAdaptive: {
-      using K = AdaptiveKernel<SR, IT, VT, MT>;
-      auto f = [&](int) {
-        return K(a, b, m, complemented,
-                 typename K::Policy{.table = opt.route_table});
-      };
-      return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr, f, opt);
-    }
-    case MaskedAlgorithm::kInner:
-      break;  // handled above
-  }
-  throw invalid_argument_error("masked_multiply: unknown algorithm");
+  return detail::with_kernel<SR>(
+      opt, a, b, nullptr, m, nullptr, [](auto, int) { return nullptr; },
+      [&](auto&& factory) {
+        return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr,
+                                              factory, opt);
+      });
 }
 
 }  // namespace msp

@@ -333,12 +333,12 @@ RowPartition<IT> build_flops_partition(const std::vector<std::int64_t>& flops,
 // ---------------------------------------------------------------------------
 
 /// B's CSC transpose plus the CSR→CSC entry permutation used to re-gather
-/// values. Held by plans through a shared_ptr so a bound B handle can hand
-/// one transpose to every plan it feeds (the structure depends only on B,
-/// not on the mask). The pattern is built once;
-/// `refresh_values` re-gathers from the *current* B so that same-pattern
-/// value updates flow through (a stale-value cache would silently poison
-/// results).
+/// values. Held through a shared_ptr so a bound B handle can hand one
+/// transpose to every plan it feeds and to the Engine's result splice (the
+/// structure depends only on B, not on the mask). The pattern is built
+/// once; `refresh_values` re-gathers from the *current* B so that
+/// same-pattern value updates flow through (a stale-value cache would
+/// silently poison results).
 template <class IT, class VT>
 struct CscTransposeCache {
   CscMatrix<IT, VT> csc;
@@ -350,6 +350,23 @@ struct CscTransposeCache {
   /// skipping only ever happens between two calls through the same handle
   /// contract.
   std::uint64_t fresh_for_version = 0;
+
+  /// The transpose of the current B. `values_version`, when nonzero, is
+  /// the caller's monotonically bumped values version for this B
+  /// (BoundMatrix::values_version): if the values were last gathered for
+  /// exactly that version the O(nnz) gather is skipped — the handle
+  /// contract (values_changed() after in-place mutation) makes that safe,
+  /// and it keeps steady-state Inner calls free of per-call value copies.
+  /// Version 0 (raw callers, no contract) always re-gathers.
+  const CscMatrix<IT, VT>& ensure(const CsrMatrix<IT, VT>& b,
+                                  std::uint64_t values_version = 0) {
+    ensure_structure(b);
+    if (values_version == 0 || fresh_for_version != values_version) {
+      refresh_values(b);
+      fresh_for_version = values_version;
+    }
+    return csc;
+  }
 
   void ensure_structure(const CsrMatrix<IT, VT>& b) {
     if (built) return;
@@ -552,29 +569,16 @@ class SpgemmPlan {
   std::vector<IT>* structure_sink() { return &structure_rowptr_; }
 
   /// CSC transpose of B for the pull-based Inner kernel (structure built
-  /// once, values re-gathered from the *current* B on every call; see
-  /// CscTransposeCache). The cache object is created lazily here unless a
-  /// bound B handle injected its own through adopt_csc() first.
-  ///
-  /// `values_version`, when nonzero, is the caller's monotonically bumped
-  /// values version for this B (BoundMatrix handles): if the cache's
-  /// values were last gathered for exactly that version the O(nnz) gather
-  /// is skipped — the handle contract (values_changed() after in-place
-  /// mutation) makes that safe, and it keeps steady-state Inner calls
-  /// free of per-call value copies. Version 0 (raw callers, no contract)
-  /// always re-gathers.
+  /// once, values re-gathered unless `values_version` says they are fresh;
+  /// see CscTransposeCache::ensure). The cache object is created lazily
+  /// here unless a bound B handle injected its own through adopt_csc()
+  /// first.
   const CscMatrix<IT, VT>& ensure_b_csc(const CsrMatrix<IT, VT>& b,
                                         std::uint64_t values_version = 0) {
     if (b_csc_ == nullptr) {
       b_csc_ = std::make_shared<CscTransposeCache<IT, VT>>();
     }
-    b_csc_->ensure_structure(b);
-    if (values_version == 0 ||
-        b_csc_->fresh_for_version != values_version) {
-      b_csc_->refresh_values(b);
-      b_csc_->fresh_for_version = values_version;
-    }
-    return b_csc_->csc;
+    return b_csc_->ensure(b, values_version);
   }
 
   /// Inject a (possibly already built) shared transpose cache. A no-op if

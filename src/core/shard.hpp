@@ -700,7 +700,7 @@ class ShardStore {
 
 // slice_rows / stitch_row_blocks — the shard split and its inverse — live
 // in matrix/csr.hpp (they are generic CSR row-block operations, shared
-// with the engine's incremental result splice).
+// with the serve coordinator).
 
 template <class IT, class VT>
 class ShardedMatrix;

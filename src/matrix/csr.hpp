@@ -98,8 +98,7 @@ struct CsrMatrix {
 };
 
 /// Copy rows [begin, end) of `a` as a self-contained CSR over the full
-/// column space — the shard payload, and the row block the incremental
-/// result splice recomputes.
+/// column space — the shard payload and the serve coordinator's row block.
 template <class IT, class VT>
 CsrMatrix<IT, VT> slice_rows(const CsrMatrix<IT, VT>& a, IT begin, IT end) {
   if (begin < 0 || end < begin || end > a.nrows) {
@@ -121,8 +120,8 @@ CsrMatrix<IT, VT> slice_rows(const CsrMatrix<IT, VT>& a, IT begin, IT end) {
 }
 
 /// Concatenate row blocks (in order) into one CSR — the inverse of the
-/// row-block split, used by the tiled driver to stitch per-shard results
-/// and by the incremental splice to reassemble cached + recomputed rows.
+/// row-block split, used by the tiled driver and the serve coordinator to
+/// stitch per-block results.
 template <class IT, class VT>
 CsrMatrix<IT, VT> stitch_row_blocks(const std::vector<CsrMatrix<IT, VT>>& parts,
                                     IT ncols) {

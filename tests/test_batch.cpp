@@ -2,8 +2,8 @@
 // app-level batch entries): the batch must be bit-identical to N sequential
 // calls across Scheme × mask kind × mask semantics × {int, int64_t},
 // including aliased and empty masks and mixed warm/cold plans, and must
-// share A's and B's state across its masks through call-local bound
-// handles. Plus regression tests for clear()/reset_stats() counter
+// share A's and B's state across its masks through bound handles — the
+// caller's or call-local ones. Plus regression tests for clear()/reset_stats() counter
 // hygiene, the plan-cache fingerprint-collision cross-check, and the
 // complement-row hash-table capacity clamp.
 #include <gtest/gtest.h>
@@ -234,6 +234,40 @@ TEST(MultiplyBatch, SharesFlopsAcrossColdPlans) {
       a, b, m2, MaskKind::kMask, MaskSemantics::kStructural);
   // Both batch-built plans hold the *same* flops vector, not equal copies.
   EXPECT_EQ(p1.flops_ptr().get(), p2.flops_ptr().get());
+}
+
+TEST(MultiplyBatch, CallerHandlesAreUsedAndHashNothing) {
+  const auto a = random_csr<int, double>(60, 60, 0.15, 556);
+  const auto b = random_csr<int, double>(60, 60, 0.15, 557);
+  const auto m1 = random_csr<int, double>(60, 60, 0.3, 558);
+  const auto m2 = random_csr<int, double>(60, 60, 0.2, 559);
+  const std::vector<const CsrMatrix<int, double>*> masks = {&m1, &m2};
+  Engine engine;
+  BoundMatrix<int, double> ah = engine.bind(a);
+  const BoundMatrix<int, double> bh = engine.bind(b);
+  // Identity-fingerprint mode: plans keyed through this handle differ from
+  // the pattern-hash keys a call-local handle of A would produce.
+  ah.structure_changed(0, 1);
+  const auto bound = engine.multiply_batch<SR>(
+      Scheme::kInner2P, a, b, masks, MaskKind::kMask,
+      MaskSemantics::kStructural, nullptr, &ah, &bh);
+  // Only the masks were hashed; B's transpose was built on B's handle.
+  EXPECT_EQ(engine.cache_stats().fingerprints_computed, masks.size());
+  EXPECT_TRUE(bh.csc_cache()->built);
+  // The batch's plans are the handles' plans: a bound call hits them.
+  MaskedSpgemmStats st;
+  (void)engine.multiply_scheme<SR>(Scheme::kInner2P, a, b, m1,
+                                   MaskKind::kMask,
+                                   MaskSemantics::kStructural, &st, &ah,
+                                   &bh);
+  EXPECT_TRUE(st.plan_cache_hit);
+
+  Engine raw;
+  const auto unbound = raw.multiply_batch<SR>(Scheme::kInner2P, a, b, masks);
+  ASSERT_EQ(bound.size(), unbound.size());
+  for (std::size_t q = 0; q < masks.size(); ++q) {
+    EXPECT_TRUE(csr_equal(unbound[q], bound[q])) << "mask " << q;
+  }
 }
 
 TEST(MultiplyBatch, InnerBatchSeesInPlaceValueChangesOfB) {

@@ -12,7 +12,9 @@
 //    batches, mutation receipts, auto/manual compaction, epoching;
 //  * Engine/TiledEngine integration — partial plan refresh really skips
 //    untouched row blocks (plan_rows_refreshed / symbolic_skipped proof),
-//    per-shard invalidation re-fingerprints only overlapping shards;
+//    the result splice matches a fresh full product for every planful
+//    scheme and leaves the plan cache alone, per-shard invalidation
+//    re-fingerprints only overlapping shards;
 //  * randomized differential fuzzers — seeded interleaved
 //    insert/delete/query/compact streams against a std::map model, across
 //    scheme families × mask kinds × semantics × {int, int64_t} ×
@@ -24,6 +26,7 @@
 // MSP_TEST_SEED replays a failure, MSP_TEST_TRIALS scales the trial count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <iterator>
@@ -301,6 +304,14 @@ TEST(EngineUpdateTest, ResultSpliceRecomputesOnlyDirtyRows) {
   EXPECT_LT(st.plan_rows_refreshed, static_cast<std::size_t>(n) / 2);
   EXPECT_GE(eng.cache_stats().result_splices, 1u);
   EXPECT_EQ(eng.cache_stats().result_rows_recomputed, st.plan_rows_refreshed);
+  // The spliced call reports its own kernel work: the row pass, the
+  // assembly, the flops of the recomputed rows and the returned nnz.
+  EXPECT_GT(st.numeric_seconds, 0.0);
+  EXPECT_GT(st.assemble_seconds, 0.0);
+  EXPECT_GT(st.total_flops, 0);
+  EXPECT_LT(st.total_flops, total_flops(dm.matrix(), b));
+  EXPECT_GT(st.output_nnz, 0u);
+  EXPECT_EQ(st.output_nnz, c1.nnz());
 
   Engine fresh;
   const auto want = fresh.multiply_scheme<SR>(Scheme::kMsa2P, dm.matrix(), b,
@@ -328,6 +339,143 @@ TEST(EngineUpdateTest, ResultSpliceRecomputesOnlyDirtyRows) {
   EXPECT_TRUE(csr_equal(c1, c3));  // values unchanged in place, only marked
   eng.clear();
   EXPECT_EQ(eng.result_cache_size(), 0u);
+}
+
+TEST(EngineUpdateTest, SplicesLeavePlanCacheAlone) {
+  using SR = PlusTimes<double>;
+  const int n = 1024;
+  const auto base = random_csr<int, double>(n, n, 8.0 / n, base_seed() + 8);
+  const auto b = random_csr<int, double>(n, n, 8.0 / n, base_seed() + 9);
+  const auto m = random_csr<int, double>(n, n, 16.0 / n, base_seed() + 10);
+
+  DeltaMatrix<int, double> dm(base, 100.0);
+  Engine eng;
+  BoundMatrix<int, double> ah(dm.matrix());
+  BoundMatrix<int, double> bh(b);
+  BoundMatrix<int, double> mh(m);
+  auto query = [&](MaskedSpgemmStats* st) {
+    return eng.multiply_scheme<SR>(Scheme::kMsa2P, dm.matrix(), b, m,
+                                   MaskKind::kMask,
+                                   MaskSemantics::kStructural, st, &ah, &bh,
+                                   &mh);
+  };
+  eng.update(dm, ah, std::span<const EdgeUpdate<int, double>>(
+                         std::vector<EdgeUpdate<int, double>>{
+                             {0, 1, 1.0, false}}));
+  (void)query(nullptr);  // the one full product: builds the plan
+  const auto before = eng.cache_stats();
+  const std::size_t plans_before = eng.plan_count();
+
+  // More splices than the plan cache holds: none of them may plan,
+  // fingerprint or evict anything.
+  const int splices = static_cast<int>(ExecutionContext::kMaxPlans) + 6;
+  for (int s = 0; s < splices; ++s) {
+    const int row = (s * 37) % n;
+    eng.update(dm, ah, std::span<const EdgeUpdate<int, double>>(
+                           std::vector<EdgeUpdate<int, double>>{
+                               {row, (s * 11) % n, 1.0 + s, false}}));
+    (void)query(nullptr);
+  }
+  const auto after = eng.cache_stats();
+  EXPECT_EQ(after.result_splices - before.result_splices,
+            static_cast<std::size_t>(splices));
+  EXPECT_EQ(eng.plan_count(), plans_before);
+  EXPECT_EQ(after.plan_misses, before.plan_misses);
+  EXPECT_EQ(after.plan_evictions, before.plan_evictions);
+  EXPECT_EQ(after.fingerprints_computed, before.fingerprints_computed);
+
+  // An update dirtying more than half of A takes the full path: the plan
+  // built before the splices is still cached, so this is a hit with a
+  // partial refresh, not a miss.
+  std::vector<EdgeUpdate<int, double>> wide;
+  for (int row = 0; row < n; row += 64) wide.push_back({row, row, 2.0, false});
+  eng.update(dm, ah, std::span<const EdgeUpdate<int, double>>(wide));
+  MaskedSpgemmStats st;
+  const auto got = query(&st);
+  EXPECT_TRUE(st.plan_cache_hit);
+  EXPECT_GT(st.plan_rows_refreshed, 0u);
+  EXPECT_EQ(eng.cache_stats().plan_misses, before.plan_misses);
+  EXPECT_EQ(eng.cache_stats().plan_partial_refreshes,
+            before.plan_partial_refreshes + 1);
+  EXPECT_EQ(eng.cache_stats().result_splices, after.result_splices);
+
+  Engine fresh;
+  EXPECT_TRUE(csr_equal(fresh.multiply_scheme<SR>(Scheme::kMsa2P,
+                                                  dm.matrix(), b, m,
+                                                  MaskKind::kMask),
+                        got));
+}
+
+/// Every planful scheme × mask kind × semantics: a splice after a small
+/// windowed update is bit-identical to a fresh Engine's full product.
+template <class IT>
+void check_splice_conformance() {
+  using VT = double;
+  using SR = PlusTimes<VT>;
+  const IT n = 192;
+  const auto base = random_csr<IT, VT>(n, n, 0.05, base_seed() + 20);
+  const auto b = random_csr<IT, VT>(n, n, 0.05, base_seed() + 21);
+  auto m = random_csr<IT, VT>(n, n, 0.12, base_seed() + 22);
+  Xoshiro256 rng(base_seed() + 23);
+  for (auto& v : m.values) {
+    if (rng.next_double() < 0.2) v = VT{};  // valued semantics differ
+  }
+  for (Scheme scheme : our_schemes()) {
+    for (MaskKind kind : {MaskKind::kMask, MaskKind::kComplement}) {
+      if (!scheme_supports_complement(scheme) &&
+          kind == MaskKind::kComplement) {
+        continue;
+      }
+      for (MaskSemantics sem :
+           {MaskSemantics::kStructural, MaskSemantics::kValued}) {
+        SCOPED_TRACE(std::string(scheme_name(scheme)) +
+                     (kind == MaskKind::kMask ? " mask" : " complement") +
+                     (sem == MaskSemantics::kValued ? " valued"
+                                                    : " structural"));
+        DeltaMatrix<IT, VT> dm(base, 100.0);
+        Engine eng;
+        BoundMatrix<IT, VT> ah(dm.matrix());
+        BoundMatrix<IT, VT> bh(b);
+        BoundMatrix<IT, VT> mh(m);
+        eng.update(dm, ah, std::span<const EdgeUpdate<IT, VT>>(
+                               std::vector<EdgeUpdate<IT, VT>>{
+                                   {0, 1, 1.0, false}}));
+        (void)eng.multiply_scheme<SR>(scheme, dm.matrix(), b, m, kind, sem,
+                                      nullptr, &ah, &bh, &mh);
+        for (int round = 0; round < 2; ++round) {
+          const IT w0 = static_cast<IT>(
+              rng.next_below(static_cast<std::uint64_t>(n - n / 8)));
+          std::vector<EdgeUpdate<IT, VT>> edits;
+          for (int e = 0; e < 6; ++e) {
+            EdgeUpdate<IT, VT> u;
+            u.row = w0 + static_cast<IT>(rng.next_below(n / 8));
+            u.col = static_cast<IT>(
+                rng.next_below(static_cast<std::uint64_t>(n)));
+            u.remove = e % 3 == 2;
+            u.value = static_cast<VT>(1 + rng.next_below(9));
+            edits.push_back(u);
+          }
+          eng.update(dm, ah, std::span<const EdgeUpdate<IT, VT>>(edits));
+          const std::size_t splices = eng.cache_stats().result_splices;
+          const auto got = eng.multiply_scheme<SR>(
+              scheme, dm.matrix(), b, m, kind, sem, nullptr, &ah, &bh, &mh);
+          EXPECT_EQ(eng.cache_stats().result_splices, splices + 1);
+          Engine fresh;
+          const auto want =
+              fresh.multiply_scheme<SR>(scheme, dm.matrix(), b, m, kind, sem);
+          ASSERT_TRUE(csr_equal(want, got)) << "round " << round;
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineUpdateTest, SpliceMatchesFullProductForEveryScheme) {
+  check_splice_conformance<int>();
+}
+
+TEST(EngineUpdateTest, SpliceMatchesFullProductForEverySchemeInt64) {
+  check_splice_conformance<std::int64_t>();
 }
 
 // ---------------------------------------------------------------------------
@@ -459,14 +607,19 @@ CsrMatrix<IT, VT> model_to_csr(const std::map<std::pair<IT, IT>, VT>& model,
   return coo_to_csr(std::move(coo));
 }
 
+/// `count` random edits of an n×n matrix, their rows drawn from
+/// [row0, row0 + rows) (all rows by default).
 template <class IT, class VT>
 std::vector<EdgeUpdate<IT, VT>> random_edits(Xoshiro256& rng, IT n,
-                                             std::size_t count) {
+                                             std::size_t count, IT row0 = 0,
+                                             IT rows = 0) {
+  if (rows == 0) rows = n;
   std::vector<EdgeUpdate<IT, VT>> edits;
   edits.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     EdgeUpdate<IT, VT> e;
-    e.row = static_cast<IT>(rng.next_below(static_cast<std::uint64_t>(n)));
+    e.row = row0 + static_cast<IT>(
+                       rng.next_below(static_cast<std::uint64_t>(rows)));
     e.col = static_cast<IT>(rng.next_below(static_cast<std::uint64_t>(n)));
     e.remove = rng.next_double() < 0.35;
     e.value = static_cast<VT>(1 + rng.next_below(9));
@@ -495,16 +648,12 @@ struct FuzzConfig {
 };
 
 FuzzConfig random_config(Xoshiro256& rng) {
-  // One representative per kernel family plus a planless baseline; the
-  // full scheme × kind × semantics cross is the conformance suite's job —
-  // here each trial draws one configuration so the stream interleavings
-  // get the coverage.
-  static const Scheme kSchemes[] = {Scheme::kMsa1P,  Scheme::kMsa2P,
-                                    Scheme::kHash2P, Scheme::kHeap1P,
-                                    Scheme::kInner2P, Scheme::kSsDot,
-                                    Scheme::kAuto};
+  // Any of the 14 schemes or kAuto; each trial draws one configuration so
+  // the stream interleavings get the coverage.
+  std::vector<Scheme> schemes = all_schemes();
+  schemes.push_back(Scheme::kAuto);
   FuzzConfig cfg;
-  cfg.scheme = kSchemes[rng.next_below(std::size(kSchemes))];
+  cfg.scheme = schemes[rng.next_below(schemes.size())];
   cfg.kind = rng.next_double() < 0.3 && scheme_supports_complement(cfg.scheme)
                  ? MaskKind::kComplement
                  : MaskKind::kMask;
@@ -556,8 +705,16 @@ void run_monolithic_trial(std::uint64_t seed) {
     SCOPED_TRACE("step " + std::to_string(step));
     const double dice = rng.next_double();
     if (dice < 0.45) {
-      const auto edits = random_edits<IT, VT>(
-          rng, n, 1 + rng.next_below(static_cast<std::uint64_t>(n)));
+      // Half the batches are small windowed bursts (≤ n/8 rows), which
+      // the next query answers from the result splice; the rest span the
+      // matrix and usually take the full-product fallback.
+      const bool burst = rng.next_double() < 0.5;
+      const IT rows = burst ? std::max<IT>(1, n / 8) : n;
+      const auto row0 = static_cast<IT>(
+          rng.next_below(static_cast<std::uint64_t>(n - rows + 1)));
+      const std::size_t count =
+          1 + rng.next_below(static_cast<std::uint64_t>(rows));
+      const auto edits = random_edits<IT, VT>(rng, n, count, row0, rows);
       const auto res = eng.update(
           dm, ah, std::span<const EdgeUpdate<IT, VT>>(edits));
       apply_to_model(model, edits);
