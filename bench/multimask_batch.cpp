@@ -6,8 +6,9 @@
 // neighborhood queries over a fixed graph). The batch binds A and B once,
 // so it fingerprints them once and shares the flops vector and (for Inner)
 // B's transpose across all query plans; the sequential baseline pays
-// fingerprints, flops and transpose once per query. Both paths are
-// verified bit-identical here.
+// fingerprints, flops and transpose once per query. The warm batch passes
+// a handle of the graph bound once outside the timed loop, so it hashes
+// only the masks. All three paths are verified bit-identical here.
 //
 // Acceptance run (ISSUE 3): MSP_SCALE=17 MSP_BATCH=8 — batch must be at
 // least 1.3× faster than the cold sequential loop. Defaults are CI-sized.
@@ -98,19 +99,26 @@ int main() {
         },
         repetitions);
 
-    // Warm batch: every plan and structure cached.
+    // Warm batch: every plan and structure cached, and g held as a bound
+    // handle the way a service holds its graph, so a warm batch hashes
+    // only its masks and recounts no flops.
     Engine warm_engine;
-    (void)warm_engine.multiply_batch<PlusTimes<VT>>(s, g, g, masks);
-    const double warm_seconds = time_best(
-        [&] {
-          (void)warm_engine.multiply_batch<PlusTimes<VT>>(s, g, g, masks);
-        },
-        repetitions);
+    const BoundMatrix<IT, VT> gh = warm_engine.bind(g);
+    const auto warm_batch = [&] {
+      return warm_engine.multiply_batch<PlusTimes<VT>>(
+          s, g, g, masks, MaskKind::kMask, MaskSemantics::kStructural,
+          nullptr, &gh, &gh);
+    };
+    const std::vector<Graph> warm_out = warm_batch();
+    const double warm_seconds =
+        time_best([&] { (void)warm_batch(); }, repetitions);
 
     std::printf("%-10s %12.4f %12.4f %8.2f %12.4f %9d\n",
                 std::string(scheme_name(s)).c_str(), batch_seconds,
                 seq_seconds, seq_seconds / batch_seconds, warm_seconds,
-                identical(seq_out, batch_out) ? 1 : 0);
+                identical(seq_out, batch_out) && identical(seq_out, warm_out)
+                    ? 1
+                    : 0);
   }
   return 0;
 }

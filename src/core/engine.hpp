@@ -329,9 +329,9 @@ class Engine {
     // to it. kAuto is excluded: it resolves its algorithm and phase from
     // the flops of the whole product, which the splice never counts.
     const bool splice_eligible =
-        scheme != Scheme::kAuto && b_handle != nullptr &&
-        hints.fa.has_value() && hints.fb.has_value() &&
-        hints.fm.has_value() && a_handle->dirty_log() != nullptr;
+        scheme != Scheme::kAuto && hints.fa.has_value() &&
+        hints.fb.has_value() && hints.fm.has_value() &&
+        a_handle->dirty_log() != nullptr;
     const ResultKey result_key{
         std::type_index(
             typeid(std::tuple<SR, CsrMatrix<IT, VT>, CsrMatrix<IT, MT>>)),
