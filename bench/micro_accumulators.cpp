@@ -9,8 +9,10 @@
 #include <map>
 #include <tuple>
 
+#include "apps/tricount.hpp"
 #include "core/masked_spgemm.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/rmat.hpp"
 #include "semiring/semiring.hpp"
 
 namespace {
@@ -56,8 +58,24 @@ void args(benchmark::internal::Benchmark* b) {
   b->Args({1 << 12, 8, 8})     // comparable densities
       ->Args({1 << 12, 32, 4})  // dense inputs, sparse mask
       ->Args({1 << 12, 4, 64})  // sparse inputs, dense mask
-      ->Args({1 << 12, 64, 32})  // long B rows, dense mask: the SIMD bin
+      ->Args({1 << 12, 64, 32})  // long B rows, dense mask
       ->Unit(benchmark::kMillisecond);
+}
+
+/// The triangle-count shape: L·L masked by L, where L is the relabeled
+/// strictly lower triangle of an R-MAT 14 graph: skewed rows, and a mask
+/// that admits a data-dependent minority of the products.
+void BM_MsaTricount(benchmark::State& state) {
+  static const auto input = tricount_prepare(rmat_graph<IT, VT>(14, 16.0));
+  const auto& l = input.l;
+  MaskedSpgemmOptions opt;
+  opt.algorithm = MaskedAlgorithm::kMsa;
+  for (auto _ : state) {
+    auto c = masked_multiply<PlusTimes<VT>>(l, l, l, opt);
+    benchmark::DoNotOptimize(c.colids.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(l.nnz()));
 }
 
 void BM_Msa(benchmark::State& s) { run_algorithm(s, MaskedAlgorithm::kMsa); }
@@ -71,7 +89,10 @@ void BM_Inner(benchmark::State& s) {
   run_algorithm(s, MaskedAlgorithm::kInner);
 }
 
-BENCHMARK(BM_Msa)->Apply(args);
+// Large mask rows (600 of 65536 columns, above ncols/128); MSA only, as
+// the 39 M-entry mask makes the merge-based kernels slow here.
+BENCHMARK(BM_Msa)->Apply(args)->Args({1 << 16, 32, 600});
+BENCHMARK(BM_MsaTricount)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Hash)->Apply(args);
 BENCHMARK(BM_Mca)->Apply(args);
 BENCHMARK(BM_Heap)->Apply(args);

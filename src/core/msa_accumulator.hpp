@@ -43,6 +43,7 @@ class MsaKernel {
     std::vector<std::uint32_t> not_allowed_epoch;   // complemented path
     std::vector<std::uint32_t> set_epoch;
     std::vector<IT> inserted;
+    std::vector<IT> admit;                          // admitted B positions
     std::uint32_t epoch = 0;
 
     /// Grow (never shrink) to serve `ncols` columns, preserving the
@@ -63,6 +64,7 @@ class MsaKernel {
         }
       } else if (states.size() < ncols) {
         states.resize(ncols, EntryState::kNotAllowed);
+        admit.resize(ncols);
       }
     }
   };
@@ -89,22 +91,25 @@ class MsaKernel {
   }
 
  private:
-  // The plain (non-complemented) paths are written branch-free over the
-  // SoA state/value lanes so the compiler can autovectorize them. Within
-  // one inner loop over a B row the column ids are strictly increasing
-  // (CsrMatrix invariant), so the scattered updates touch distinct lanes
-  // and `omp simd` is sound; select-stores replace the state branches.
-  // Bit-identity with the branchy form: per output column the sequence of
-  // SR::add applications is unchanged (one per visiting (p,q) in the same
-  // order), and a not-admitted lane is rewritten with its own loaded
-  // value — the semiring ops stay unevaluated-in-effect for it.
+  // Plain (non-complemented) numeric rows run one product loop in two
+  // passes per B row. Compact writes every position into the admit list
+  // and advances its length only where the mask admits the column, with no
+  // branch; apply then walks the admitted positions in order. The admit
+  // test is true for a data-dependent fraction of products (one in six on
+  // triangle counting), so as a branch it mispredicts, while the compact
+  // pass reads only column ids and state bytes. Bit-identity with the
+  // branchy form: per output column the SR::add sequence is unchanged (k in
+  // A's order, admitted q in increasing order), and a not-admitted lane is
+  // never touched. The admit list is sized to ncols(B), the longest
+  // possible B row, so the loop needs no size check.
   //
-  // The select-stores trade a perfectly predicted skip branch for
-  // unconditional value/state traffic on every visited lane, which only
-  // pays when a noticeable fraction of lanes are admitted. Rows whose mask
-  // density is below 1/2^kSimdMaskDensityShift of ncols keep the branchy
-  // early-skip loop — there the product is almost always discarded and the
-  // branch-free form is pure extra multiplies and dirtied cache lines.
+  // symbolic_plain keeps a gated pair. Its select-store loop (a store to
+  // every visited state byte) only pays when a noticeable fraction of lanes
+  // are admitted; rows whose mask density is below 1/2^kSimdMaskDensityShift
+  // of ncols keep the branchy early-skip loop, whose branch is then almost
+  // always predicted. Within one B row the column ids are strictly
+  // increasing (CsrMatrix invariant), so the lanes are distinct and
+  // `omp simd` is sound.
   static constexpr int kSimdMaskDensityShift = 7;
 
   bool branch_free_row(std::ptrdiff_t mask_len) const {
@@ -117,6 +122,7 @@ class MsaKernel {
     if (mcols.empty()) return 0;
     auto* const states = s_->states.data();
     auto* const values = s_->values.data();
+    IT* const admit = s_->admit.data();
     const IT* const madm = mcols.data();
     const auto mlen = static_cast<std::ptrdiff_t>(mcols.size());
     // Mask-admit scatter: distinct sorted columns, one byte store each.
@@ -124,35 +130,25 @@ class MsaKernel {
     for (std::ptrdiff_t t = 0; t < mlen; ++t) {
       states[static_cast<std::size_t>(madm[t])] = EntryState::kAllowed;
     }
-    const bool branch_free = branch_free_row(mlen);
     for (IT p = a_.rowptr[i]; p < a_.rowptr[i + 1]; ++p) {
       const IT k = a_.colids[p];
       const VT av = a_.values[p];
       const IT* const bcols = b_.colids.data() + b_.rowptr[k];
       const VT* const bvals = b_.values.data() + b_.rowptr[k];
-      const auto blen =
-          static_cast<std::ptrdiff_t>(b_.rowptr[k + 1] - b_.rowptr[k]);
-      if (!branch_free) {
-        for (std::ptrdiff_t q = 0; q < blen; ++q) {
-          const std::size_t j = static_cast<std::size_t>(bcols[q]);
-          const EntryState st = states[j];
-          if (st == EntryState::kNotAllowed) continue;
-          const VT prod = SR::multiply(av, bvals[q]);
-          values[j] = st == EntryState::kSet ? SR::add(values[j], prod) : prod;
-          states[j] = EntryState::kSet;
-        }
-        continue;
+      const IT blen = b_.rowptr[k + 1] - b_.rowptr[k];
+      IT n = 0;
+      for (IT q = 0; q < blen; ++q) {
+        admit[n] = q;
+        n += states[static_cast<std::size_t>(bcols[q])] !=
+             EntryState::kNotAllowed;
       }
-#pragma omp simd
-      for (std::ptrdiff_t q = 0; q < blen; ++q) {
+      for (IT t = 0; t < n; ++t) {
+        const IT q = admit[t];
         const std::size_t j = static_cast<std::size_t>(bcols[q]);
-        const EntryState st = states[j];
-        const VT cur = values[j];
         const VT prod = SR::multiply(av, bvals[q]);
-        values[j] = st == EntryState::kSet       ? SR::add(cur, prod)
-                    : st == EntryState::kAllowed ? prod
-                                                 : cur;
-        states[j] = st == EntryState::kNotAllowed ? st : EntryState::kSet;
+        values[j] =
+            states[j] == EntryState::kSet ? SR::add(values[j], prod) : prod;
+        states[j] = EntryState::kSet;
       }
     }
     // Contiguous mask-order gather. The output store stays guarded: the

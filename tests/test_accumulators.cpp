@@ -4,9 +4,13 @@
 // repeated reuse across rows) that whole-matrix tests are unlikely to hit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
 #include <vector>
 
+#include "core/baseline.hpp"
 #include "core/hash_accumulator.hpp"
 #include "core/heap_kernel.hpp"
 #include "core/inner_kernel.hpp"
@@ -235,6 +239,75 @@ TEST(McaKernel, RejectsComplement) {
   const auto a = random_csr<IT, VT>(4, 4, 0.5, 1);
   EXPECT_THROW((McaKernel<SR, IT, VT, VT>(a, a, a, true)),
                invalid_argument_error);
+}
+
+/// Random rows×cols CSR whose row lengths cycle through `lens` (each capped
+/// at `cols`), with values drawn from {1e16, 1, -1e16, -0.0, 3, 0.5}: sums
+/// of these depend on the order of the additions, and a -0.0 product added
+/// to a zero start value becomes +0.0, so any reordering or extra add shows
+/// in the bits.
+CsrMatrix<IT, VT> order_sensitive_csr(IT rows, IT cols,
+                                      const std::vector<IT>& lens,
+                                      std::uint64_t seed) {
+  static constexpr VT kValues[] = {1e16, 1.0, -1e16, -0.0, 3.0, 0.5};
+  Xoshiro256 rng(seed);
+  std::vector<IT> perm(static_cast<std::size_t>(cols));
+  std::iota(perm.begin(), perm.end(), IT{0});
+  CooMatrix<IT, VT> coo(rows, cols);
+  for (IT i = 0; i < rows; ++i) {
+    const IT len =
+        std::min(cols, lens[static_cast<std::size_t>(i) % lens.size()]);
+    for (IT t = 0; t < len; ++t) {  // partial Fisher-Yates: distinct columns
+      const auto u = static_cast<std::size_t>(t);
+      std::swap(perm[u], perm[u + rng.next_below(perm.size() - u)]);
+      coo.push(i, perm[u], kValues[rng.next_below(std::size(kValues))]);
+    }
+  }
+  return coo_to_csr(std::move(coo));
+}
+
+/// MSA's plain-mask numeric loop on wide rows: ncols ≥ 4096, mask rows on
+/// both sides of ncols/128 (empty, sparse, at the line, dense, full), every
+/// row compared bit for bit with the SAXPY baseline. A second kernel with
+/// more columns and B rows longer than the first B's ncols borrows the same
+/// scratch, so its admit list and dense arrays must grow.
+TEST(MsaKernel, WideRowsMatchBaselineBitForBit) {
+  using Msa = MsaKernel<SR, IT, VT, VT>;
+  Msa::Scratch scratch;
+  auto check = [&](IT ncols, const std::vector<IT>& b_lens,
+                   std::uint64_t seed) {
+    const IT nrows = 48, inner = 160;
+    const auto a = order_sensitive_csr(nrows, inner, {1, 5, 12, 24}, seed);
+    const auto b = order_sensitive_csr(inner, ncols, b_lens, seed + 1);
+    const IT line = ncols / 128;
+    const auto m = order_sensitive_csr(
+        nrows, ncols, {0, 1, 7, line - 1, line, line + 1, 4 * line, ncols},
+        seed + 2);
+    const auto expected = baseline_saxpy<SR>(a, b, m);
+    Msa kernel(a, b, m, /*complemented=*/false, &scratch);
+    std::vector<IT> colids;
+    std::vector<VT> values;
+    for (IT i = 0; i < nrows; ++i) {
+      const IT row_nnz = expected.rowptr[i + 1] - expected.rowptr[i];
+      ASSERT_EQ(kernel.symbolic_row(i), row_nnz) << "row " << i;
+      // Exactly sized, as the two-phase numeric pass sizes it.
+      std::vector<IT> cols(static_cast<std::size_t>(row_nnz));
+      std::vector<VT> vals(static_cast<std::size_t>(row_nnz));
+      ASSERT_EQ(kernel.numeric_row(i, cols.data(), vals.data()), row_nnz)
+          << "row " << i;
+      colids.insert(colids.end(), cols.begin(), cols.end());
+      values.insert(values.end(), vals.begin(), vals.end());
+    }
+    EXPECT_EQ(colids, expected.colids);
+    ASSERT_EQ(values.size(), expected.values.size());
+    EXPECT_EQ(std::memcmp(values.data(), expected.values.data(),
+                          values.size() * sizeof(VT)),
+              0);
+    EXPECT_GE(scratch.admit.size(), static_cast<std::size_t>(ncols));
+    EXPECT_GE(scratch.states.size(), static_cast<std::size_t>(ncols));
+  };
+  check(4096, {1, 40, 300, 1000}, 11);
+  check(8192, {3, 200, 600, 5000}, 21);
 }
 
 /// Lazy insert contract (paper §5.1): products whose keys are masked out
