@@ -3,8 +3,8 @@
 // A service answering many masked products over mostly-stable operands
 // keeps one Engine alive and binds its stable operands once. The first
 // call on a new (A, B, M) pattern builds an SpgemmPlan — per-row flops,
-// output bounds, symbolic structure, B's transpose, the flops-binned row
-// partition; every later call on the same patterns reuses it, even when
+// output bounds, symbolic structure, B's transpose, the rows with nonzero
+// flops; every later call on the same patterns reuses it, even when
 // the stored *values* have changed in the meantime. The BoundMatrix
 // handles additionally pin the operand fingerprints, so steady-state
 // calls hash nothing at all (the `fingerprints` counter below stays put).

@@ -114,8 +114,7 @@ template <Semiring SR, class IT, class VT, class MT>
 CsrMatrix<IT, VT> baseline_dot(const CsrMatrix<IT, VT>& a,
                                const CsrMatrix<IT, VT>& b,
                                const CsrMatrix<IT, MT>& m,
-                               MaskKind kind = MaskKind::kMask,
-                               int chunk_rows = 64) {
+                               MaskKind kind = MaskKind::kMask) {
   detail::validate_shapes(a.nrows, a.ncols, b.nrows, b.ncols, m);
   const CscMatrix<IT, VT> b_csc = csr_to_csc(b);  // paid on every call
   const bool complemented = kind == MaskKind::kComplement;
@@ -123,7 +122,7 @@ CsrMatrix<IT, VT> baseline_dot(const CsrMatrix<IT, VT>& a,
     return detail::BaselineDotKernel<SR, IT, VT, MT>(a, b_csc, m,
                                                      complemented);
   };
-  return detail::run_two_phase<IT, VT>(m.nrows, b.ncols, factory, chunk_rows);
+  return detail::run_two_phase<IT, VT>(m.nrows, b.ncols, factory);
 }
 
 /// SS:SAXPY-style baseline: unmasked Gustavson SpGEMM, then a separate mask

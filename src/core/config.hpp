@@ -58,7 +58,7 @@ struct MaskedSpgemmStats {
   std::size_t bound_nnz = 0;      ///< 1P only: Σ per-row upper bounds
 
   /// Plan-based execution only: seconds spent building or extending plan
-  /// artifacts (flops, bounds, symbolic structure, transpose, partition)
+  /// artifacts (flops, bounds, symbolic structure, transpose, active rows)
   /// during this call. Zero when the plan cache already held everything.
   double plan_seconds = 0.0;
   /// Plan-based execution only: true when the keyed plan cache already
@@ -198,10 +198,6 @@ struct MaskedSpgemmOptions {
   MaskedAlgorithm algorithm = MaskedAlgorithm::kMsa;
   MaskedPhase phase = MaskedPhase::kOnePhase;
   MaskKind mask_kind = MaskKind::kMask;
-  /// OpenMP dynamic-schedule chunk (rows per work unit) for the planless
-  /// path. 0 (the default) derives the chunk from rows/threads; plan-based
-  /// execution uses the plan's flops-binned partition instead.
-  int chunk_rows = 0;
   /// Override the heap kernel's NInspect (paper §5.5): -1 keeps the
   /// algorithm's default (1 for kHeap, ∞ for kHeapDot); 0/1/... force a
   /// value. Used by the NInspect ablation benchmark.

@@ -328,8 +328,12 @@ class Engine {
     // the numeric_row the full product runs, so the splice is bit-identical
     // to it. kAuto is excluded: it resolves its algorithm and phase from
     // the flops of the whole product, which the splice never counts.
+    // The handles are tested for null here although the hints imply it:
+    // gcc cannot see through the optionals, and a path with a null handle
+    // reaching b_handle->csc_cache() below draws -Wnonnull once inlined.
     const bool splice_eligible =
-        scheme != Scheme::kAuto && hints.fa.has_value() &&
+        scheme != Scheme::kAuto && a_handle != nullptr &&
+        b_handle != nullptr && m_handle != nullptr && hints.fa.has_value() &&
         hints.fb.has_value() && hints.fm.has_value() &&
         a_handle->dirty_log() != nullptr;
     const ResultKey result_key{

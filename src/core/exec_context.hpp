@@ -7,7 +7,7 @@
 //    pattern fingerprints × mask kind × mask semantics, holding the newest
 //    kMaxPlans plans (FIFO, util/bounded_cache.hpp), so a repeated call on
 //    unchanged patterns skips flops counting, one-phase bounds, the
-//    two-phase symbolic pass, B's transpose, and partitioning;
+//    two-phase symbolic pass, B's transpose, and the active-row list;
 //  * per-thread kernel scratch, type-erased and reused across calls: the
 //    MSA kernel's O(ncols) dense arrays, the hash kernel's warmed-up slot
 //    table, the heap and MCA arrays — allocated once per thread instead of
@@ -263,7 +263,7 @@ class ExecutionContext {
     // the boundary where every artifact accessor below starts trusting it.
     MSP_CHECK_PLAN(plan, a, b, m, "ExecutionContext::multiply");
     const CsrMatrix<IT, MT>& mm = plan.effective_mask(m);
-    const RowPartition<IT>& partition = plan.ensure_partition(max_threads());
+    const std::vector<IT>& active = plan.active_rows();
     // Warm-plan phase upgrade (tuned kAuto): with the output structure
     // already exported into the plan, two-phase is pure exact numeric.
     const MaskedPhase phase =
@@ -302,13 +302,12 @@ class ExecutionContext {
         [&](auto&& factory) {
           if (phase == MaskedPhase::kOnePhase) {
             return detail::run_one_phase<IT, VT>(m.nrows, b.ncols, *ub,
-                                                 factory, opt.chunk_rows,
-                                                 opt.stats, &partition, sink);
+                                                 factory, opt.stats, &active,
+                                                 sink);
           }
           return detail::run_two_phase<IT, VT>(m.nrows, b.ncols, factory,
-                                               opt.chunk_rows, opt.stats,
-                                               &partition, cached_rowptr,
-                                               sink);
+                                               opt.stats, &active,
+                                               cached_rowptr, sink);
         });
   }
 
@@ -350,14 +349,14 @@ class ExecutionContext {
           const auto listed = detail::listed_rows(factory, rows);
           if (complemented) {
             return detail::run_two_phase<IT, VT>(n, b.ncols, listed,
-                                                 opt.chunk_rows, opt.stats);
+                                                 opt.stats);
           }
           std::vector<std::size_t> ub(rows.size());
           for (std::size_t k = 0; k < rows.size(); ++k) {
             ub[k] = static_cast<std::size_t>(mm.row_nnz(rows[k]));
           }
           return detail::run_one_phase<IT, VT>(n, b.ncols, ub, listed,
-                                               opt.chunk_rows, opt.stats);
+                                               opt.stats);
         });
     if (opt.stats != nullptr) {
       opt.stats->symbolic_skipped = !complemented;

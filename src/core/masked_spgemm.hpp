@@ -8,15 +8,17 @@
 //  * two-phase (2P): a symbolic pass computes exact per-row counts, a prefix
 //    sum turns them into row pointers, and the numeric pass writes in place.
 //
-// Parallelization is coarse-grained across rows (paper §3). The planless
-// path uses dynamic scheduling with a chunk derived from rows/threads; the
-// plan-based path (core/plan.hpp, core/exec_context.hpp) hands the drivers
-// a flops-binned static row partition and, for 2P, cached symbolic row
-// pointers so repeated multiplies skip the symbolic pass entirely. Many
-// masks against one A·B are many calls (Engine::multiply_batch), each with
-// its own parallel regions. Each thread owns one kernel instance whose
-// scratch space is reused across all rows it processes (and, through
-// ExecutionContext, across calls).
+// Parallelization is coarse-grained across rows (paper §3): every row loop
+// is one dynamic schedule of kRowChunk-row chunks. The planless path runs
+// it over all rows; the plan-based path (core/plan.hpp,
+// core/exec_context.hpp) runs it over the plan's active rows (flops > 0)
+// and, for 2P, hands the drivers cached symbolic row pointers so repeated
+// multiplies skip the symbolic pass entirely. Many masks against one A·B
+// are many calls (Engine::multiply_batch), each with its own parallel
+// regions. Each thread owns one kernel instance whose scratch space is
+// reused across all rows it processes (and, through ExecutionContext,
+// across calls); which rows a thread gets varies from call to call, and
+// the bits do not depend on it.
 //
 // The configuration types (MaskedAlgorithm, MaskKind, MaskedSpgemmOptions,
 // MaskedSpgemmStats, ...) live in core/config.hpp.
@@ -61,41 +63,27 @@ void validate_shapes(IT a_rows, IT a_cols, IT b_rows, IT b_cols,
   }
 }
 
-/// Dynamic-schedule chunk for the planless path, derived from rows/threads
-/// (~16 chunks per thread for load balance, clamped to a sane range)
-/// instead of a hard-coded global constant.
-template <class IT>
-int auto_chunk(IT nrows) {
-  const long threads = std::max(1, max_threads());
-  const long chunk = static_cast<long>(nrows) / (threads * 16);
-  return static_cast<int>(std::clamp(chunk, 1L, 4096L));
-}
+/// Rows per dynamic-schedule work unit, planned or not. Small enough that
+/// a few heavy rows cannot strand one thread at the end of a loop.
+inline constexpr int kRowChunk = 64;
 
-template <class IT>
-int resolve_chunk(int requested, IT nrows) {
-  return requested > 0 ? requested : auto_chunk(nrows);
-}
-
-/// Row-parallel driver loop. With a partition: static flops-binned
-/// per-thread work lists (zero-flop rows are skipped — their output rows
-/// are provably empty). Without: dynamic chunks over all rows.
+/// Row-parallel driver loop: dynamic chunks of kRowChunk over `rows` (a
+/// plan's active rows — zero-flops rows are skipped, their output rows are
+/// provably empty) or, when `rows` is null, over all `nrows` rows.
 /// `make_kernel(tid)` runs once per participating thread.
 template <class IT, class KernelFactory, class RowFn>
-void for_each_row(IT nrows, int chunk, const RowPartition<IT>* partition,
+void for_each_row(IT nrows, const std::vector<IT>* rows,
                   KernelFactory&& make_kernel, RowFn&& fn) {
-  (void)chunk;  // consumed by the schedule clause; unused in serial builds
+  const auto n = rows != nullptr ? static_cast<std::int64_t>(rows->size())
+                                 : static_cast<std::int64_t>(nrows);
 #pragma omp parallel
   {
-    const int tid = thread_id();
-    auto kernel = make_kernel(tid);
-    if (partition != nullptr) {
-      const int nt = region_threads();
-      for (int l = tid; l < partition->lists(); l += nt) {
-        for (IT i : partition->list(l)) fn(kernel, i);
-      }
-    } else {
-#pragma omp for schedule(dynamic, chunk)
-      for (IT i = 0; i < nrows; ++i) fn(kernel, i);
+    auto kernel = make_kernel(thread_id());
+    // nowait: the region's closing barrier is the only one the loop needs.
+#pragma omp for schedule(dynamic, kRowChunk) nowait
+    for (std::int64_t k = 0; k < n; ++k) {
+      fn(kernel, rows != nullptr ? (*rows)[static_cast<std::size_t>(k)]
+                                 : static_cast<IT>(k));
     }
   }
 }
@@ -108,12 +96,11 @@ void for_each_row(IT nrows, int chunk, const RowPartition<IT>* partition,
 template <class IT, class VT, class KernelFactory>
 CsrMatrix<IT, VT> run_one_phase(IT nrows, IT ncols,
                                 const std::vector<std::size_t>& ub,
-                                KernelFactory make_kernel, int chunk_rows,
+                                KernelFactory make_kernel,
                                 MaskedSpgemmStats* stats = nullptr,
-                                const RowPartition<IT>* partition = nullptr,
+                                const std::vector<IT>* rows = nullptr,
                                 std::vector<IT>* structure_sink = nullptr) {
   Timer phase_timer;
-  const int chunk = resolve_chunk(chunk_rows, nrows);
   std::vector<std::size_t> offsets(static_cast<std::size_t>(nrows) + 1, 0);
   for (IT i = 0; i < nrows; ++i) {
     offsets[static_cast<std::size_t>(i) + 1] =
@@ -128,7 +115,7 @@ CsrMatrix<IT, VT> run_one_phase(IT nrows, IT ncols,
   std::unique_ptr<VT[]> tmp_vals(new VT[cap]);
   std::vector<IT> counts(static_cast<std::size_t>(nrows), 0);
 
-  for_each_row(nrows, chunk, partition, make_kernel, [&](auto& kernel, IT i) {
+  for_each_row(nrows, rows, make_kernel, [&](auto& kernel, IT i) {
     const std::size_t off = offsets[static_cast<std::size_t>(i)];
     counts[static_cast<std::size_t>(i)] =
         kernel.numeric_row(i, tmp_cols.get() + off, tmp_vals.get() + off);
@@ -148,7 +135,7 @@ CsrMatrix<IT, VT> run_one_phase(IT nrows, IT ncols,
   out.values.resize(static_cast<std::size_t>(total));
   for (IT i = 0; i < nrows; ++i) out.rowptr[i] = rowptr_counts[i];
   out.rowptr[nrows] = total;
-#pragma omp parallel for schedule(dynamic, chunk)
+#pragma omp parallel for schedule(dynamic, kRowChunk)
   for (IT i = 0; i < nrows; ++i) {
     const std::size_t src = offsets[static_cast<std::size_t>(i)];
     const std::size_t dst = static_cast<std::size_t>(out.rowptr[i]);
@@ -172,13 +159,11 @@ CsrMatrix<IT, VT> run_one_phase(IT nrows, IT ncols,
 /// freshly computed structure is exported through `structure_sink`.
 template <class IT, class VT, class KernelFactory>
 CsrMatrix<IT, VT> run_two_phase(IT nrows, IT ncols, KernelFactory make_kernel,
-                                int chunk_rows,
                                 MaskedSpgemmStats* stats = nullptr,
-                                const RowPartition<IT>* partition = nullptr,
+                                const std::vector<IT>* rows = nullptr,
                                 const std::vector<IT>* cached_rowptr = nullptr,
                                 std::vector<IT>* structure_sink = nullptr) {
   Timer phase_timer;
-  const int chunk = resolve_chunk(chunk_rows, nrows);
   CsrMatrix<IT, VT> out(nrows, ncols);
   if (cached_rowptr != nullptr) {
     out.rowptr = *cached_rowptr;
@@ -188,10 +173,9 @@ CsrMatrix<IT, VT> run_two_phase(IT nrows, IT ncols, KernelFactory make_kernel,
     }
   } else {
     std::vector<IT> counts(static_cast<std::size_t>(nrows), 0);
-    for_each_row(nrows, chunk, partition, make_kernel,
-                 [&](auto& kernel, IT i) {
-                   counts[static_cast<std::size_t>(i)] = kernel.symbolic_row(i);
-                 });
+    for_each_row(nrows, rows, make_kernel, [&](auto& kernel, IT i) {
+      counts[static_cast<std::size_t>(i)] = kernel.symbolic_row(i);
+    });
     if (stats != nullptr) stats->symbolic_seconds = phase_timer.seconds();
     const IT total = exclusive_prefix_sum(counts);
     for (IT i = 0; i < nrows; ++i) out.rowptr[i] = counts[i];
@@ -201,7 +185,7 @@ CsrMatrix<IT, VT> run_two_phase(IT nrows, IT ncols, KernelFactory make_kernel,
   out.colids.resize(static_cast<std::size_t>(total));
   out.values.resize(static_cast<std::size_t>(total));
   phase_timer.reset();
-  for_each_row(nrows, chunk, partition, make_kernel, [&](auto& kernel, IT i) {
+  for_each_row(nrows, rows, make_kernel, [&](auto& kernel, IT i) {
     const IT written =
         kernel.numeric_row(i, out.colids.data() + out.rowptr[i],
                            out.values.data() + out.rowptr[i]);
@@ -278,11 +262,9 @@ CsrMatrix<IT, VT> run_with_phase(IT nrows, IT ncols,
                                  const MaskedSpgemmOptions& opt) {
   if (opt.phase == MaskedPhase::kOnePhase) {
     MSP_ASSERT(ub != nullptr);
-    return run_one_phase<IT, VT>(nrows, ncols, *ub, make_kernel,
-                                 opt.chunk_rows, opt.stats);
+    return run_one_phase<IT, VT>(nrows, ncols, *ub, make_kernel, opt.stats);
   }
-  return run_two_phase<IT, VT>(nrows, ncols, make_kernel, opt.chunk_rows,
-                               opt.stats);
+  return run_two_phase<IT, VT>(nrows, ncols, make_kernel, opt.stats);
 }
 
 /// The one kernel-construction switch, shared by every driver caller:
@@ -389,10 +371,10 @@ CsrMatrix<IT, VT> masked_multiply_inner(const CsrMatrix<IT, VT>& a,
       }
     }
     return detail::run_one_phase<IT, VT>(m.nrows, b_csc.ncols, ub, factory,
-                                         opt.chunk_rows, opt.stats);
+                                         opt.stats);
   }
   return detail::run_two_phase<IT, VT>(m.nrows, b_csc.ncols, factory,
-                                       opt.chunk_rows, opt.stats);
+                                       opt.stats);
 }
 
 /// Masked SpGEMM: C = M ⊙ (A·B) on semiring SR (or ¬M ⊙ (A·B) for a

@@ -3,8 +3,8 @@
 // A `SpgemmPlan` captures everything about a masked product C = M ⊙ (A·B)
 // that is derivable from the operand *patterns* alone — per-row flops, the
 // one-phase output-size upper bounds, the two-phase symbolic row pointers,
-// a CSC transpose of B for the pull-based kernels, and a flops-binned row
-// partition for load-balanced execution — so that repeated multiplies over
+// a CSC transpose of B for the pull-based kernels, and the rows with
+// nonzero flops the drivers schedule — so that repeated multiplies over
 // unchanged patterns (k-truss/BC iterations, a multi-mask service answering
 // many queries against one A·B) pay for that work once. Plans hold **no
 // references to the operands**: they are keyed by pattern fingerprints and
@@ -12,18 +12,16 @@
 // every execution, which is what makes mutated-values/same-pattern reuse safe.
 //
 // Plans over one A·B built through bound handles (core/bound_matrix.hpp)
-// share one flops vector and one transpose; each plan partitions only its
-// own rows. `core/exec_context.hpp` owns the keyed plan cache and the
-// per-thread kernel scratch that complete the execution half.
+// share one flops vector and one transpose. `core/exec_context.hpp` owns
+// the keyed plan cache and the per-thread kernel scratch that complete the
+// execution half.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -240,95 +238,6 @@ template <class IT>
 }
 
 // ---------------------------------------------------------------------------
-// Flops-binned row partition
-// ---------------------------------------------------------------------------
-
-/// Static per-thread work lists replacing the global dynamic-chunk knob.
-/// Rows are bucketed by ⌊log₂ flops⌋ and each bucket is dealt round-robin
-/// across the lists, so every list holds a near-identical mix of heavy and
-/// light rows (within a bucket rows differ by at most 2× in flops). Rows
-/// with zero flops are omitted entirely: their output rows are provably
-/// empty, so executing them would be pure overhead.
-template <class IT>
-struct RowPartition {
-  std::vector<IT> rows;                 ///< concatenated per-list row ids
-  std::vector<std::size_t> list_begin;  ///< size lists()+1
-
-  [[nodiscard]] int lists() const {
-    return list_begin.empty() ? 0 : static_cast<int>(list_begin.size()) - 1;
-  }
-
-  [[nodiscard]] std::span<const IT> list(int l) const {
-    MSP_ASSERT(l >= 0 && l < lists());
-    return {rows.data() + list_begin[static_cast<std::size_t>(l)],
-            list_begin[static_cast<std::size_t>(l) + 1] -
-                list_begin[static_cast<std::size_t>(l)]};
-  }
-};
-
-/// Build a flops-binned partition with `n_lists` work lists.
-template <class IT>
-RowPartition<IT> build_flops_partition(const std::vector<std::int64_t>& flops,
-                                       int n_lists) {
-  n_lists = std::max(1, n_lists);
-  constexpr int kBuckets = 64;  // bucket = bit_width(flops), flops > 0
-  const std::size_t nrows = flops.size();
-
-  std::vector<std::size_t> bucket_count(kBuckets, 0);
-  for (std::size_t i = 0; i < nrows; ++i) {
-    if (flops[i] > 0) {
-      ++bucket_count[static_cast<std::size_t>(
-          std::bit_width(static_cast<std::uint64_t>(flops[i])))];
-    }
-  }
-  // Scatter rows into one array ordered heaviest bucket first.
-  std::vector<std::size_t> bucket_pos(kBuckets, 0);
-  std::size_t total = 0;
-  for (int bkt = kBuckets - 1; bkt >= 0; --bkt) {
-    bucket_pos[static_cast<std::size_t>(bkt)] = total;
-    total += bucket_count[static_cast<std::size_t>(bkt)];
-  }
-  std::vector<IT> ordered(total);
-  for (std::size_t i = 0; i < nrows; ++i) {
-    if (flops[i] > 0) {
-      const auto bkt = static_cast<std::size_t>(
-          std::bit_width(static_cast<std::uint64_t>(flops[i])));
-      ordered[bucket_pos[bkt]++] = static_cast<IT>(i);
-    }
-  }
-
-  // Deal the ordered rows round-robin: position p goes to list p mod n_lists.
-  RowPartition<IT> part;
-  part.rows.resize(total);
-  part.list_begin.assign(static_cast<std::size_t>(n_lists) + 1, 0);
-  const std::size_t base = total / static_cast<std::size_t>(n_lists);
-  const std::size_t extra = total % static_cast<std::size_t>(n_lists);
-  for (int l = 0; l < n_lists; ++l) {
-    part.list_begin[static_cast<std::size_t>(l) + 1] =
-        part.list_begin[static_cast<std::size_t>(l)] + base +
-        (static_cast<std::size_t>(l) < extra ? 1 : 0);
-  }
-  for (std::size_t p = 0; p < total; ++p) {
-    const std::size_t l = p % static_cast<std::size_t>(n_lists);
-    const std::size_t k = p / static_cast<std::size_t>(n_lists);
-    part.rows[part.list_begin[l] + k] = ordered[p];
-  }
-  // With static lists there is no work stealing, so the order *within* a
-  // list is irrelevant for balance — restore ascending row order for the
-  // cache locality of walking A/M rows near-sequentially.
-#pragma omp parallel for schedule(static)
-  for (int l = 0; l < n_lists; ++l) {
-    std::sort(part.rows.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      part.list_begin[static_cast<std::size_t>(l)]),
-              part.rows.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      part.list_begin[static_cast<std::size_t>(l) + 1]));
-  }
-  return part;
-}
-
-// ---------------------------------------------------------------------------
 // Shareable CSC transpose of B
 // ---------------------------------------------------------------------------
 
@@ -458,7 +367,7 @@ struct SpgemmOperandHints {
 /// Pattern-derived execution plan for C = M ⊙ (A·B) (or ¬M ⊙ (A·B)) under a
 /// fixed (mask kind, mask semantics). Eagerly captures per-row flops and the
 /// semantics-reduced mask; the remaining artifacts (one-phase bounds,
-/// two-phase symbolic row pointers, B's CSC transpose, the row partition)
+/// two-phase symbolic row pointers, B's CSC transpose, the active rows)
 /// are built lazily by whichever execution first needs them and cached for
 /// every later call. The `ensure_*` accessors take the current operands
 /// because the plan stores no references — operands may be different objects
@@ -588,13 +497,17 @@ class SpgemmPlan {
     if (b_csc_ == nullptr) b_csc_ = std::move(cache);
   }
 
-  /// The flops-binned row partition, built for `n_lists` work lists
-  /// (typically the thread count) and rebuilt if that changes.
-  const RowPartition<IT>& ensure_partition(int n_lists) {
-    if (partition_.lists() != std::max(1, n_lists)) {
-      partition_ = build_flops_partition<IT>(*flops_, n_lists);
+  /// The rows with flops > 0, ascending: the rows the drivers schedule
+  /// (a zero-flops row's output is provably empty). Built on first use and
+  /// dropped whenever sync() recounts the flops.
+  const std::vector<IT>& active_rows() {
+    if (!active_rows_) {
+      active_rows_.emplace();
+      for (std::size_t i = 0; i < flops_->size(); ++i) {
+        if ((*flops_)[i] > 0) active_rows_->push_back(static_cast<IT>(i));
+      }
     }
-    return partition_;
+    return *active_rows_;
   }
 
   /// Partial plan refresh against the operands' structure dirty logs
@@ -803,7 +716,7 @@ class SpgemmPlan {
     flops_ = std::move(next);
     total_flops_ = 0;
     for (std::int64_t f : *flops_) total_flops_ += f;
-    partition_ = RowPartition<IT>{};  // lazily rebuilt from the new flops
+    active_rows_.reset();  // lazily rebuilt from the new flops
     histogram_built_ = false;
   }
 
@@ -903,7 +816,7 @@ class SpgemmPlan {
   std::vector<std::size_t> bounds_;     // lazy, 1P
   std::vector<IT> structure_rowptr_;    // lazy, 2P (or adopted from 1P)
   std::shared_ptr<CscTransposeCache<IT, VT>> b_csc_;  // lazy, Inner
-  RowPartition<IT> partition_;          // lazy
+  std::optional<std::vector<IT>> active_rows_;  // lazy
 
   DirtyCursor a_cursor_;  // last-synced dirty-log positions (sync())
   DirtyCursor b_cursor_;

@@ -1,7 +1,6 @@
 // The one bounded cache behind every reuse layer of the library: the plan
-// cache and the batch-partition cache of `ExecutionContext`, the Engine's
-// result/splice cache, the tiled engine's per-shard flops, and a bound
-// handle's per-partner flops.
+// cache of `ExecutionContext`, the Engine's result/splice cache, the tiled
+// engine's per-shard flops, and a bound handle's per-partner flops.
 //
 // An insertion-ordered, fixed-capacity FIFO map. A `put` of a new key
 // appends it and evicts the oldest entries beyond the capacity; a `put` of

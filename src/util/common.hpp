@@ -59,15 +59,6 @@ inline int thread_id() {
 #endif
 }
 
-/// Number of threads in the *current* parallel region (1 outside).
-inline int region_threads() {
-#if defined(_OPENMP)
-  return omp_get_num_threads();
-#else
-  return 1;
-#endif
-}
-
 /// Set the global OpenMP thread count (no-op without OpenMP).
 inline void set_threads(int n) {
 #if defined(_OPENMP)

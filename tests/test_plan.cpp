@@ -3,11 +3,13 @@
 // planless path for every Scheme × mask kind × mask semantics over the
 // conformance corpora, including plan *reuse* (second call on unchanged
 // patterns), mutated-values/same-pattern reuse, and cache invalidation
-// when a pattern actually changes. Plus unit tests for the flops-binned
-// row partition, pattern fingerprints, and the plan-aware applications.
+// when a pattern actually changes. Plus unit tests for the plan's active
+// rows, pattern fingerprints, and the plan-aware applications.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -249,50 +251,114 @@ TEST(PlanInvalidation, FifoEvictionBoundsTheCache) {
 }
 
 // ---------------------------------------------------------------------------
-// Flops-binned row partition
+// Active rows: the rows with nonzero flops the drivers schedule
 // ---------------------------------------------------------------------------
 
-TEST(RowPartition, CoversEveryNonzeroFlopsRowExactlyOnce) {
-  for (int lists : {1, 2, 3, 7, 16}) {
-    const std::vector<std::int64_t> flops = {0,  5, 1000, 3, 0,  77, 2,
-                                             19, 0, 1,    8, 64, 512};
-    const auto part = build_flops_partition<int>(flops, lists);
-    EXPECT_EQ(part.lists(), lists);
-    std::vector<int> seen(flops.size(), 0);
-    for (int l = 0; l < part.lists(); ++l) {
-      for (int r : part.list(l)) ++seen[static_cast<std::size_t>(r)];
-    }
-    for (std::size_t i = 0; i < flops.size(); ++i) {
-      EXPECT_EQ(seen[i], flops[i] > 0 ? 1 : 0) << "row " << i;
-    }
+/// n×n matrix whose row i holds the columns `cols(i)`, all values 1.
+template <class ColsFn>
+CsrMatrix<int, double> rows_matrix(int n, ColsFn cols) {
+  CooMatrix<int, double> coo(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j : cols(i)) coo.push(i, j, 1.0);
   }
+  return coo_to_csr(std::move(coo));
 }
 
-TEST(RowPartition, BalancesSkewedFlops) {
-  // Heavily skewed (RMAT-like) distribution: a handful of hub rows, a long
-  // light tail. Round-robin dealing within log2 bins must spread the hubs.
-  std::vector<std::int64_t> flops(1000);
+/// The rows with flops > 0, ascending, counted from scratch.
+std::vector<int> nonzero_flops_rows(const std::vector<std::int64_t>& flops) {
+  std::vector<int> out;
   for (std::size_t i = 0; i < flops.size(); ++i) {
-    flops[i] = static_cast<std::int64_t>(i % 97) + 1;
+    if (flops[i] > 0) out.push_back(static_cast<int>(i));
   }
-  for (std::size_t i = 0; i < 8; ++i) flops[i * 100] = 1 << 20;
-  const int lists = 4;
-  const auto part = build_flops_partition<int>(flops, lists);
-  std::vector<std::int64_t> load(static_cast<std::size_t>(lists), 0);
-  for (int l = 0; l < lists; ++l) {
-    for (int r : part.list(l)) load[static_cast<std::size_t>(l)] += flops[r];
-  }
-  const std::int64_t maxload = *std::max_element(load.begin(), load.end());
-  const std::int64_t minload = *std::min_element(load.begin(), load.end());
-  // 8 hubs over 4 lists → 2 per list; the tail is near-uniform. Allow 2×.
-  EXPECT_LE(maxload, 2 * minload);
+  return out;
 }
 
-TEST(RowPartition, EmptyAndAllZeroFlops) {
-  EXPECT_EQ(build_flops_partition<int>({}, 4).rows.size(), 0u);
-  const auto part = build_flops_partition<int>({0, 0, 0}, 4);
-  EXPECT_EQ(part.rows.size(), 0u);
-  EXPECT_EQ(part.lists(), 4);
+TEST(ActiveRows, AscendingAndEachNonzeroFlopsRowOnce) {
+  const std::vector<std::int64_t> flops = {0,  5, 1000, 3, 0,  77, 2,
+                                           19, 0, 1,    8, 64, 512};
+  const auto shared = std::make_shared<const std::vector<std::int64_t>>(flops);
+  const int n = static_cast<int>(flops.size());
+  const auto a = random_csr<int, double>(n, n, 0.3, 1);
+  SpgemmPlan<int, double, double> plan(a, a, a, MaskKind::kMask,
+                                       MaskSemantics::kStructural, shared);
+  const std::vector<int>& rows = plan.active_rows();
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end()), rows.end());
+  EXPECT_EQ(rows, nonzero_flops_rows(flops));
+  // Built once: a second call returns the same list.
+  EXPECT_EQ(&plan.active_rows(), &rows);
+}
+
+TEST(ActiveRows, EmptyAndAllZeroFlops) {
+  const CsrMatrix<int, double> empty(0, 0);
+  SpgemmPlan<int, double, double> none(empty, empty, empty, MaskKind::kMask,
+                                       MaskSemantics::kStructural);
+  EXPECT_TRUE(none.active_rows().empty());
+  const CsrMatrix<int, double> zero(3, 3);
+  SpgemmPlan<int, double, double> zeros(zero, zero, zero, MaskKind::kMask,
+                                        MaskSemantics::kStructural);
+  EXPECT_EQ(zeros.flops(), (std::vector<std::int64_t>{0, 0, 0}));
+  EXPECT_TRUE(zeros.active_rows().empty());
+}
+
+TEST(ActiveRows, PartialSyncListsRowTurnedNonzero) {
+  // Row 700 of A is empty, so its flops are 0 and it is not listed; a
+  // later structural edit gives it an entry. The partial refresh recounts
+  // only its row block, and the rebuilt list must carry the row: a stale
+  // list would silently leave row 700 of every later product empty.
+  const int n = 1024;
+  const int turned = 700;
+  auto cols = [&](bool with_turned) {
+    return [=](int i) {
+      std::vector<int> c;
+      if (i != turned || with_turned) c.push_back((i * 7 + 3) % n);
+      if (i % 5 == 0 && i != turned) c.push_back((i + 11) % n);
+      return c;
+    };
+  };
+  const auto a0 = rows_matrix(n, cols(false));
+  const auto b = rows_matrix(n, [](int i) { return std::vector<int>{i}; });
+  const auto m = rows_matrix(n, cols(true));  // admits every product entry
+  StructureDirtyLog<int> log;
+  SpgemmPlan<int, double, double> plan(a0, b, m, MaskKind::kMask,
+                                       MaskSemantics::kStructural);
+  EXPECT_EQ(plan.sync(a0, b, m, /*fresh_plan=*/true, &log, nullptr, nullptr),
+            0u);
+  const std::vector<int> before = plan.active_rows();
+  EXPECT_EQ(before, nonzero_flops_rows(plan.flops()));
+  EXPECT_FALSE(std::binary_search(before.begin(), before.end(), turned));
+
+  const auto a1 = rows_matrix(n, cols(true));
+  log.record(turned, turned + 1);
+  const std::size_t refreshed =
+      plan.sync(a1, b, m, /*fresh_plan=*/false, &log, nullptr, nullptr);
+  EXPECT_GT(refreshed, 0u);
+  EXPECT_LT(refreshed, static_cast<std::size_t>(n));  // partial, not full
+  const std::vector<int>& after = plan.active_rows();
+  EXPECT_TRUE(std::binary_search(after.begin(), after.end(), turned));
+  EXPECT_EQ(after, nonzero_flops_rows(row_flops(a1, b)));
+
+  // The same edit through an Engine: the warm plan is refreshed in place
+  // (a hit, not a rebuild) and its product carries row 700.
+  Engine engine;
+  CsrMatrix<int, double> a = a0;
+  BoundMatrix<int, double> ha(a);
+  ha.structure_changed(0, 1);  // switch to the identity key the edit keeps
+  BoundMatrix<int, double> hb(b);
+  MaskedSpgemmStats st;
+  auto run = [&] {
+    return engine.multiply_scheme<SR>(Scheme::kMsa1P, a, b, m, MaskKind::kMask,
+                                      MaskSemantics::kStructural, &st, &ha,
+                                      &hb);
+  };
+  (void)run();
+  a = a1;
+  ha.structure_changed(turned, turned + 1);
+  const auto c = run();
+  EXPECT_TRUE(st.plan_cache_hit);
+  EXPECT_GT(st.plan_rows_refreshed, 0u);
+  EXPECT_EQ(c.row_nnz(turned), 1);
+  EXPECT_TRUE(csr_equal(masked_multiply<SR>(a1, b, m), c));
 }
 
 // ---------------------------------------------------------------------------
@@ -385,20 +451,6 @@ TEST(PlanApps, BetweennessCentralityMatchesPlanless) {
     // BC's frontier patterns are deterministic → full reuse on the rerun.
     EXPECT_EQ(second.plan_stats.plan_hits, second.plan_stats.calls);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Planless chunk derivation (the fixed knob)
-// ---------------------------------------------------------------------------
-
-TEST(AutoChunk, DerivedChunkIsSane) {
-  EXPECT_GE(detail::auto_chunk<int>(0), 1);
-  EXPECT_GE(detail::auto_chunk<int>(1), 1);
-  EXPECT_LE(detail::auto_chunk<int>(1 << 30), 4096);
-  // Explicit chunk requests are honored verbatim.
-  EXPECT_EQ(detail::resolve_chunk<int>(64, 1 << 20), 64);
-  EXPECT_EQ(detail::resolve_chunk<int>(0, 1 << 20),
-            detail::auto_chunk<int>(1 << 20));
 }
 
 }  // namespace
