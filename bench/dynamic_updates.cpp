@@ -100,7 +100,7 @@ int main() {
     // --- incremental: persistent engine + handles; the warm-up batch
     // switches the handle to its identity fingerprint and the warm-up
     // query builds the plan that every timed query then hits.
-    DeltaMatrix<IT, VT> dm(g, /*compact_threshold=*/10.0);
+    DeltaMatrix<IT, VT> dm(g);
     Engine eng;
     BoundMatrix<IT, VT> ah(dm.matrix());
     BoundMatrix<IT, VT> bh(b);
@@ -140,7 +140,7 @@ int main() {
 
     // --- rebuild: identical edit stream and apply cost, but every query
     // is cold — a fresh engine, raw operands, full planning + symbolic.
-    DeltaMatrix<IT, VT> dm2(g, 10.0);
+    DeltaMatrix<IT, VT> dm2(g);
     (void)dm2.apply_updates(std::span<const EdgeUpdate<IT, VT>>(
         batches[0].data(), 1));
     double rebuild_best = 1e300;

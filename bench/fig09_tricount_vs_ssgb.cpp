@@ -1,7 +1,7 @@
 // Figure 9: Triangle Counting — our three best schemes (MSA-1P, Hash-1P,
 // MCA-1P) against the SuiteSparse:GraphBLAS-style baselines (SS:SAXPY and
-// SS:DOT reimplementations; see DESIGN.md §5). Performance profiles over the
-// benchmark corpus.
+// SS:DOT reimplementations; see core/baseline.hpp). Performance profiles
+// over the benchmark corpus.
 #include <cstdio>
 
 #include "apps/tricount.hpp"

@@ -1,6 +1,6 @@
 // Shared infrastructure for the figure-reproduction benchmarks: the
 // synthetic graph corpus standing in for the paper's 26 SuiteSparse graphs
-// (DESIGN.md §5, substitution 1), environment-variable configuration,
+// (README, "Benchmarks"), environment-variable configuration,
 // repetition/timing helpers, and table/profile printers that emit the same
 // series the paper plots.
 #pragma once

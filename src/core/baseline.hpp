@@ -14,7 +14,9 @@
 //    (eWiseMult) — the unfused "plain then mask" strategy of paper Fig. 1.
 //    For a complemented mask the post-pass keeps entries outside M instead.
 //
-// See DESIGN.md §5 (substitutions) for the full rationale.
+// The other stand-in, the generated graph corpus that replaces the
+// paper's SuiteSparse graphs, is described in the README's "Benchmarks"
+// section.
 #pragma once
 
 #include "core/masked_spgemm.hpp"

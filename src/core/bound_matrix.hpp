@@ -26,10 +26,12 @@
 //  * values changed, pattern identical  → `values_changed()` (refreshes
 //    the valued-semantics fingerprint and the cached transpose values on
 //    the next execution);
-//  * pattern changed in rows [r0, r1), same object, same shape →
-//    `structure_changed(r0, r1)` (records the range in the handle's
-//    dirty log so cached plans refresh only the touched row blocks;
-//    DeltaMatrix update streams drive this through Engine::update);
+//  * pattern changed in rows [r0, r1) (or in a batch of such ranges),
+//    same object, same shape → `structure_changed(r0, r1)` or
+//    `structure_changed(ranges)` (stamps the rows in the handle's dirty
+//    log so cached plans refresh only the row blocks holding them and the
+//    result splice recomputes only them; DeltaMatrix update streams drive
+//    this through Engine::update);
 //  * a different matrix object (or an unknown extent of change) →
 //    `rebind(m)` (recomputes everything).
 //
@@ -49,10 +51,10 @@
 // their mutations are reported.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -109,30 +111,42 @@ class BoundMatrix {
     if (state_->dirty_log != nullptr) {
       // Identity-fingerprint mode: the valued fingerprint is a stable
       // identity, so a zeroness change must flow through the dirty log
-      // for valued-mask plans to refilter. Full range — values_changed
-      // carries no row information.
-      state_->dirty_log->record(0, state_->matrix->nrows);
+      // for valued-mask plans to refilter. Every row is stamped —
+      // values_changed carries no row information.
+      const std::pair<IT, IT> all{0, state_->matrix->nrows};
+      state_->dirty_log->record(std::span(&all, 1));
     } else {
       state_->has_valued_fp = false;
     }
   }
 
   /// The matrix's *structure* changed in rows [begin, end) — same object,
-  /// same shape (use `rebind` otherwise). Records the range in the
-  /// handle's dirty log (created on first use, switching the handle to
-  /// identity fingerprints — see the file comment), bumps the values
-  /// version, and drops the cached transpose outright: cached plans then
-  /// refresh exactly the touched row blocks on their next execution.
+  /// same shape (use `rebind` otherwise). One mutation batch; see the
+  /// ranges overload.
   void structure_changed(IT begin, IT end) {
+    const std::pair<IT, IT> range{begin, end};
+    structure_changed(std::span(&range, 1));
+  }
+
+  /// The matrix's *structure* changed in the rows of `ranges` — one
+  /// mutation batch, same object, same shape. Stamps exactly those rows
+  /// with one new epoch in the handle's dirty log (created on first use,
+  /// switching the handle to identity fingerprints — see the file
+  /// comment), bumps the values version, and drops the cached transpose
+  /// outright: cached plans then refresh the row blocks holding a stamped
+  /// row on their next execution, and the result splice recomputes just
+  /// the stamped rows.
+  void structure_changed(std::span<const std::pair<IT, IT>> ranges) {
     MSP_ASSERT(bound());
     if (state_->dirty_log == nullptr) {
-      state_->dirty_log = std::make_shared<StructureDirtyLog<IT>>();
+      state_->dirty_log =
+          std::make_shared<StructureDirtyLog<IT>>(state_->matrix->nrows);
       state_->fp_pattern = identity_fingerprint(state_->dirty_log->id());
       state_->fp_valued =
           detail::hash_mix(state_->fp_pattern, 0x517cc1b727220a95ULL);
       state_->has_valued_fp = true;  // identity: stable, never recomputed
     }
-    state_->dirty_log->record(begin, end);
+    state_->dirty_log->record(ranges);
     state_->values_version = next_values_version();
     if (state_->csc != nullptr) state_->csc->invalidate();
   }
@@ -170,10 +184,9 @@ class BoundMatrix {
   /// (a handful of partners per handle; FIFO beyond that). Shared with
   /// plans so a miss never recounts. Entries remember the dirty-log epochs
   /// of both sides at count time: when this handle mutated, only the rows
-  /// recorded since are recounted (copy-on-write — plans share the old
+  /// stamped since are recounted (copy-on-write — plans share the old
   /// vector); when the partner mutated (its `dirty_log()` goes in
-  /// `b_log`), the count restarts from scratch — which A rows a B change
-  /// touches is not knowable from the log alone.
+  /// `b_log`), the count restarts from scratch.
   [[nodiscard]] std::shared_ptr<const std::vector<std::int64_t>> flops_with(
       const CsrMatrix<IT, VT>& b, std::uint64_t fb,
       const StructureDirtyLog<IT>* b_log = nullptr) const {
@@ -247,17 +260,16 @@ class BoundMatrix {
       return;
     }
     auto next = std::make_shared<std::vector<std::int64_t>>(*entry.flops);
-    for (const auto& r : a_log->ranges_since(entry.a_epoch)) {
-      const IT lo = std::clamp<IT>(r.begin, 0, a.nrows);
-      const IT hi = std::clamp<IT>(r.end, 0, a.nrows);
+    const std::vector<IT> rows = a_log->rows_since(entry.a_epoch);
 #pragma omp parallel for schedule(dynamic, 256)
-      for (IT i = lo; i < hi; ++i) {
-        std::int64_t f = 0;
-        for (IT p = a.rowptr[i]; p < a.rowptr[i + 1]; ++p) {
-          f += b.row_nnz(a.colids[p]);
-        }
-        (*next)[static_cast<std::size_t>(i)] = f;
+    for (std::int64_t idx = 0; idx < static_cast<std::int64_t>(rows.size());
+         ++idx) {
+      const IT i = rows[static_cast<std::size_t>(idx)];
+      std::int64_t f = 0;
+      for (IT p = a.rowptr[i]; p < a.rowptr[i + 1]; ++p) {
+        f += b.row_nnz(a.colids[p]);
       }
+      (*next)[static_cast<std::size_t>(i)] = f;
     }
     entry.flops = std::move(next);
   }

@@ -39,9 +39,9 @@
 //  * `update`, which applies a DeltaMatrix edit batch and reports the
 //    touched rows to the operand's bound handle, and an incremental result
 //    splice: with all three operands bound, the engine keeps the newest
-//    results (a small FIFO, util/bounded_cache.hpp) and recomputes only
-//    the rows dirtied since, in one numeric pass over those rows of the
-//    full operands — no plan, no symbolic pass, one assembly copy.
+//    results (a small FIFO, util/bounded_cache.hpp) and recomputes exactly
+//    the rows stamped dirty since, in one numeric pass over those rows of
+//    the full operands — no plan, no symbolic pass, one assembly copy.
 //
 // The entry points are exactly those some caller needs: the builder
 // (examples, tests), `multiply_scheme` (the apps, the builder's and the
@@ -231,23 +231,24 @@ class Engine {
   /// Apply one batch of edge mutations to a DeltaMatrix and report the
   /// touched rows to its bound handle — the single call an app (or the
   /// update fuzzer) makes per batch. The handle must be bound to the delta
-  /// matrix's live merged view (`dm.matrix()`, whose address is stable
-  /// across updates). The batch's touched-row runs are coalesced to a
-  /// bounded set of ranges and recorded individually, so a small batch —
-  /// even one scattered across distant rows — dirties only its own row
-  /// blocks and cached plans refresh just those on their next multiply.
+  /// matrix's live CSR (`dm.matrix()`, whose address is stable across
+  /// updates). The batch's touched-row runs go to the handle as one
+  /// structure_changed call, which stamps exactly those rows with one new
+  /// epoch: cached plans refresh just the row blocks holding them, and the
+  /// result splice recomputes just them.
   template <class IT, class VT>
   DeltaUpdateResult<IT> update(DeltaMatrix<IT, VT>& dm,
                                BoundMatrix<IT, VT>& handle,
                                std::span<const EdgeUpdate<IT, VT>> edits) {
     if (!handle.bound() || &handle.matrix() != &dm.matrix()) {
       throw invalid_argument_error(
-          "Engine::update: handle is not bound to the delta matrix's merged "
-          "view");
+          "Engine::update: handle is not bound to the delta matrix's live "
+          "matrix");
     }
     DeltaUpdateResult<IT> res = dm.apply_updates(edits);
-    for (const auto& [lo, hi] : coalesce_dirty_ranges<IT>(res.touched_ranges)) {
-      handle.structure_changed(lo, hi);
+    if (!res.touched_ranges.empty()) {
+      handle.structure_changed(
+          std::span<const std::pair<IT, IT>>(res.touched_ranges));
     }
     return res;
   }
@@ -318,13 +319,14 @@ class Engine {
     // With all three operands bound and A in identity-fingerprint mode
     // (every mutation of A flows through its dirty log), the engine keeps
     // the previous result per configuration. Masked SpGEMM is row-local —
-    // C(i,:) = M(i,:) ⊙ (A(i,:)·B) — so when only a few row runs of A
-    // changed since that result (B and M untouched, checked via their
-    // values versions), the query recomputes exactly those rows in one
-    // numeric pass over the full operands (ExecutionContext::multiply_rows:
-    // the scheme's own kernel and numeric_row, no plan, no fingerprint, no
-    // symbolic pass for a regular mask) and assembles the new result from
-    // the cached rows and the recomputed ones in one copy. Every row runs
+    // C(i,:) = M(i,:) ⊙ (A(i,:)·B) — so when fewer than half the rows of A
+    // are stamped in its dirty log since that result (B and M untouched,
+    // checked via their values versions), the query recomputes exactly the
+    // stamped rows in one numeric pass over the full operands
+    // (ExecutionContext::multiply_rows: the scheme's own kernel and
+    // numeric_row, no plan, no fingerprint, no symbolic pass for a regular
+    // mask) and assembles the new result from the cached rows and the
+    // recomputed ones in one copy. Every row runs
     // the numeric_row the full product runs, so the splice is bit-identical
     // to it. kAuto is excluded: it resolves its algorithm and phase from
     // the flops of the whole product, which the splice never counts.
@@ -351,25 +353,14 @@ class Engine {
         found->m_values_version == m_handle->values_version()) {
       const ResultEntry cached = *found;
       const StructureDirtyLog<IT>& log = *a_handle->dirty_log();
-      std::vector<std::pair<IT, IT>> runs;
-      for (const auto& r : log.ranges_since(cached.a_epoch)) {
-        const IT lo = std::max<IT>(r.begin, 0);
-        const IT hi = std::min<IT>(r.end, a.nrows);
-        if (lo < hi) runs.emplace_back(lo, hi);
-      }
-      std::sort(runs.begin(), runs.end());
-      runs = coalesce_dirty_ranges<IT>(runs);
-      std::size_t dirty_rows = 0;
-      for (const auto& [lo, hi] : runs) {
-        dirty_rows += static_cast<std::size_t>(hi - lo);
-      }
+      const std::vector<IT> rows = log.rows_since(cached.a_epoch);
       const auto& prev =
           *static_cast<const CsrMatrix<IT, VT>*>(cached.result.get());
       // The cached previous result must have the exact output shape the
       // current operands produce, or splicing rows into it would silently
       // serve a result for different operands.
       MSP_CHECK_SPLICE(prev, a.nrows, b.ncols, "Engine::multiply_scheme");
-      if (dirty_rows == 0) {
+      if (rows.empty()) {
         if (stats != nullptr) {
           *stats = {};
           stats->plan_cache_hit = true;
@@ -379,12 +370,7 @@ class Engine {
         ctx_.record_splice(0);
         return prev;
       }
-      if (dirty_rows * 2 < static_cast<std::size_t>(a.nrows)) {
-        std::vector<IT> rows;
-        rows.reserve(dirty_rows);
-        for (const auto& [lo, hi] : runs) {
-          for (IT i = lo; i < hi; ++i) rows.push_back(i);
-        }
+      if (rows.size() * 2 < static_cast<std::size_t>(a.nrows)) {
         MaskedSpgemmOptions opt;
         opt.mask_kind = kind;
         opt.mask_semantics = semantics;
@@ -399,8 +385,8 @@ class Engine {
                 : nullptr;
         const auto fresh = ctx_.multiply_rows<SR>(a, b, m, opt, rows, b_csc);
         Timer assemble_timer;
-        auto out = std::make_shared<CsrMatrix<IT, VT>>(
-            splice_rows(prev, runs, fresh));
+        auto out =
+            std::make_shared<CsrMatrix<IT, VT>>(splice_rows(prev, rows, fresh));
         row_stats.assemble_seconds += assemble_timer.seconds();
         MSP_CHECK_SPLICE(*out, a.nrows, b.ncols, "Engine::multiply_scheme");
         MSP_CHECK_CSR(*out, "Engine::multiply_scheme(splice)");
@@ -411,9 +397,9 @@ class Engine {
           *stats = row_stats;
           stats->output_nnz = out->nnz();
           stats->plan_cache_hit = true;
-          stats->plan_rows_refreshed = dirty_rows;
+          stats->plan_rows_refreshed = rows.size();
         }
-        ctx_.record_splice(dirty_rows);
+        ctx_.record_splice(rows.size());
         return *out;
       }
       // Too much of the matrix is dirty: the full path below is cheaper
@@ -647,18 +633,16 @@ class Engine {
                                     : baseline_saxpy<SR>(a, b, m, kind);
   }
 
-  /// The spliced result: `prev`'s rows outside `runs` (sorted, disjoint)
-  /// and the recomputed rows inside them (`fresh`, one row per run row, in
-  /// run order), copied once, block by block, into the new matrix.
+  /// The spliced result: `prev`'s rows outside `rows` (ascending) and the
+  /// recomputed rows (`fresh`, one row per listed row, in list order),
+  /// copied once, run of clean rows by run, into the new matrix.
   template <class IT, class VT>
-  static CsrMatrix<IT, VT> splice_rows(
-      const CsrMatrix<IT, VT>& prev, const std::vector<std::pair<IT, IT>>& runs,
-      const CsrMatrix<IT, VT>& fresh) {
+  static CsrMatrix<IT, VT> splice_rows(const CsrMatrix<IT, VT>& prev,
+                                       const std::vector<IT>& rows,
+                                       const CsrMatrix<IT, VT>& fresh) {
     CsrMatrix<IT, VT> out(prev.nrows, prev.ncols);
     std::size_t replaced = 0;
-    for (const auto& [lo, hi] : runs) {
-      replaced += static_cast<std::size_t>(prev.rowptr[hi] - prev.rowptr[lo]);
-    }
+    for (const IT i : rows) replaced += static_cast<std::size_t>(prev.row_nnz(i));
     out.colids.reserve(prev.nnz() - replaced + fresh.nnz());
     out.values.reserve(prev.nnz() - replaced + fresh.nnz());
     // Rows [lo, hi) of `src` become the next rows of `out`, starting at
@@ -674,12 +658,11 @@ class Engine {
                         src.values.begin() + src.rowptr[hi]);
     };
     IT cursor = 0;
-    IT k = 0;  // next row of `fresh`
-    for (const auto& [lo, hi] : runs) {
-      append(prev, cursor, lo, cursor);
-      append(fresh, k, k + (hi - lo), lo);
-      k += hi - lo;
-      cursor = hi;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const IT i = rows[k];
+      append(prev, cursor, i, cursor);
+      append(fresh, static_cast<IT>(k), static_cast<IT>(k) + 1, i);
+      cursor = i + 1;
     }
     append(prev, cursor, prev.nrows, cursor);
     out.rowptr[prev.nrows] = static_cast<IT>(out.colids.size());

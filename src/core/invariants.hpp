@@ -2,10 +2,10 @@
 // every layer boundary, compiled to nothing unless MSPGEMM_CHECKED is
 // defined (the -DMSPGEMM_CHECKED=ON CMake option).
 //
-// Seven layers interact through unstated structural invariants — CSR
-// well-formedness, the delta overlay's merged-view agreement, dirty-log
-// epoch monotonicity, plan-artifact consistency, shard-store accounting,
-// and the engine's splice-cache shape contract. The end-to-end differential
+// The layers interact through unstated structural invariants — CSR
+// well-formedness (including the delta matrix's live CSR), the dirty log's
+// per-row stamps, plan-artifact consistency, shard-store accounting, and
+// the engine's splice-cache shape contract. The end-to-end differential
 // fuzzers catch violations only after corruption has propagated three
 // layers downstream; this header catches them at the boundary where they
 // originate and raises a typed `msp::invariant_error` naming the violated
@@ -125,99 +125,35 @@ void check_csr(const Csr& x, const char* site) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta overlay
-// ---------------------------------------------------------------------------
-
-/// Overlay consistency through the public accessors: pending rows strictly
-/// increasing (sorted + deduped) and in bounds, each stored row's columns
-/// strictly sorted and in bounds. Empty stored rows are legal tombstones.
-template <class Overlay, class IT>
-void check_overlay(const Overlay& ov, IT nrows, IT ncols, const char* site) {
-  IT prev_row = static_cast<IT>(-1);
-  for (std::size_t r = 0; r < ov.stored_rows(); ++r) {
-    const IT row = ov.stored_rowid(r);
-    if (row < 0 || row >= nrows) {
-      fail("delta.overlay_row_in_bounds", site, "row " + std::to_string(row));
-    }
-    if (row <= prev_row) {
-      fail("delta.overlay_rows_sorted", site, "row " + std::to_string(row));
-    }
-    prev_row = row;
-    const auto cols = ov.stored_row_cols(r);
-    for (std::size_t p = 0; p < cols.size(); ++p) {
-      if (cols[p] < 0 || cols[p] >= ncols) {
-        fail("delta.overlay_cols_in_bounds", site,
-             "row " + std::to_string(row));
-      }
-      if (p > 0 && cols[p] <= cols[p - 1]) {
-        fail("delta.overlay_cols_sorted", site, "row " + std::to_string(row));
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Structure dirty log
 // ---------------------------------------------------------------------------
 
-/// Entry-level dirty-log validation over the raw range sequence: epochs
-/// strictly increasing (the fold keeps the merged front's newest epoch, so
-/// order survives collapses), every epoch within (0, current], and every
-/// range non-empty. Data-level so tests can corrupt a plain vector.
-template <class Range>
-void check_dirty_log_ranges(const std::vector<Range>& entries,
-                            std::uint64_t current_epoch, const char* site) {
-  std::uint64_t prev = 0;
-  for (const Range& r : entries) {
-    if (r.epoch <= prev) {
-      fail("dirty_log.epoch_monotone", site,
-           "epoch " + std::to_string(r.epoch) + " after " +
-               std::to_string(prev));
-    }
-    if (r.epoch > current_epoch) {
+/// Per-row stamp validation over the raw arrays: every row stamp within
+/// [0, epoch], and every block maximum at least the stamp of each row in
+/// its block of `block_rows` rows — a block maximum below one of its rows
+/// makes readers skip that block and silently miss the row. Data-level so
+/// tests can corrupt plain vectors.
+inline void check_dirty_stamps(const std::vector<std::uint64_t>& stamps,
+                               const std::vector<std::uint64_t>& block_max,
+                               std::uint64_t epoch, std::size_t block_rows,
+                               const char* site) {
+  const std::size_t blocks =
+      block_rows == 0 ? 0 : (stamps.size() + block_rows - 1) / block_rows;
+  if (block_max.size() != blocks) {
+    fail("dirty_log.block_count", site,
+         std::to_string(block_max.size()) + " blocks for " +
+             std::to_string(stamps.size()) + " rows");
+  }
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    if (stamps[i] > epoch) {
       fail("dirty_log.epoch_bound", site,
-           "entry epoch " + std::to_string(r.epoch) + " > log epoch " +
-               std::to_string(current_epoch));
+           "row " + std::to_string(i) + " stamp " + std::to_string(stamps[i]) +
+               " > log epoch " + std::to_string(epoch));
     }
-    if (r.begin >= r.end) {
-      fail("dirty_log.range_nonempty", site,
-           "[" + std::to_string(r.begin) + ", " + std::to_string(r.end) + ")");
-    }
-    prev = r.epoch;
-  }
-}
-
-/// Coalesce coverage: the output of coalesce_dirty_ranges must be sorted,
-/// disjoint, within the cap, and must *cover* every input run — coalescing
-/// may only widen, never lose, dirty rows (a lost run silently serves a
-/// stale plan block).
-template <class IT>
-void check_coalesce(const std::vector<std::pair<IT, IT>>& runs,
-                    const std::vector<std::pair<IT, IT>>& out,
-                    std::size_t max_ranges, const char* site) {
-  if (out.size() > max_ranges) {
-    fail("coalesce.max_ranges", site,
-         std::to_string(out.size()) + " > " + std::to_string(max_ranges));
-  }
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    if (out[i].first < out[i - 1].second) {
-      fail("coalesce.sorted_disjoint", site,
-           "range " + std::to_string(i) + " overlaps its predecessor");
-    }
-  }
-  for (const auto& r : runs) {
-    if (r.first >= r.second) continue;
-    bool covered = false;
-    for (const auto& o : out) {
-      if (o.first <= r.first && r.second <= o.second) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
-      fail("coalesce.coverage", site,
-           "input run [" + std::to_string(r.first) + ", " +
-               std::to_string(r.second) + ") not covered");
+    if (stamps[i] > block_max[i / block_rows]) {
+      fail("dirty_log.block_max", site,
+           "row " + std::to_string(i) + " stamp " + std::to_string(stamps[i]) +
+               " > block maximum " + std::to_string(block_max[i / block_rows]));
     }
   }
 }
@@ -330,12 +266,8 @@ inline void check_hint_fingerprint(std::uint64_t hinted,
 
 #if MSP_CHECKED_BUILD
 #define MSP_CHECK_CSR(x, site) ::msp::invariants::check_csr((x), (site))
-#define MSP_CHECK_OVERLAY(ov, nrows, ncols, site) \
-  ::msp::invariants::check_overlay((ov), (nrows), (ncols), (site))
 #define MSP_CHECK_DELTA(dm, site) (dm).check_invariants((site))
 #define MSP_CHECK_DIRTY_LOG(log, site) (log).check_invariants((site))
-#define MSP_CHECK_COALESCE(runs, out, max_ranges, site) \
-  ::msp::invariants::check_coalesce((runs), (out), (max_ranges), (site))
 #define MSP_CHECK_PLAN(plan, a, b, m, site) \
   (plan).check_invariants((a), (b), (m), (site))
 #define MSP_CHECK_SHARD_STORE(store, site) \
@@ -347,10 +279,8 @@ inline void check_hint_fingerprint(std::uint64_t hinted,
                                             (operand), (site))
 #else
 #define MSP_CHECK_CSR(x, site) ((void)0)
-#define MSP_CHECK_OVERLAY(ov, nrows, ncols, site) ((void)0)
 #define MSP_CHECK_DELTA(dm, site) ((void)0)
 #define MSP_CHECK_DIRTY_LOG(log, site) ((void)0)
-#define MSP_CHECK_COALESCE(runs, out, max_ranges, site) ((void)0)
 #define MSP_CHECK_PLAN(plan, a, b, m, site) ((void)0)
 #define MSP_CHECK_SHARD_STORE(store, site) ((void)0)
 #define MSP_CHECK_SPLICE(prev, a_nrows, b_ncols, site) ((void)0)

@@ -334,49 +334,6 @@ auto with_kernel(const MaskedSpgemmOptions& opt, const CsrMatrix<IT, VT>& a,
 
 }  // namespace detail
 
-/// Masked SpGEMM with a pre-transposed B (CSC) for the Inner algorithm.
-/// Use this overload to amortize the transpose across repeated calls.
-template <Semiring SR, class IT, class VT, class MT>
-CsrMatrix<IT, VT> masked_multiply_inner(const CsrMatrix<IT, VT>& a,
-                                        const CscMatrix<IT, VT>& b_csc,
-                                        const CsrMatrix<IT, MT>& m,
-                                        const MaskedSpgemmOptions& opt = {}) {
-  detail::validate_shapes(a.nrows, a.ncols, b_csc.nrows, b_csc.ncols, m);
-  if (opt.mask_semantics == MaskSemantics::kValued) {
-    // Same reduction as masked_multiply: drop explicit zeros (shared
-    // parallel helper), then treat the filtered mask structurally.
-    MaskedSpgemmOptions structural = opt;
-    structural.mask_semantics = MaskSemantics::kStructural;
-    return masked_multiply_inner<SR>(a, b_csc, drop_explicit_zeros(m),
-                                     structural);
-  }
-  const bool complemented = opt.mask_kind == MaskKind::kComplement;
-  auto factory = [&](int) {
-    return InnerKernel<SR, IT, VT, MT>(a, b_csc, m, complemented);
-  };
-  if (opt.phase == MaskedPhase::kOnePhase) {
-    std::vector<std::size_t> ub(static_cast<std::size_t>(m.nrows));
-    if (!complemented) {
-#pragma omp parallel for schedule(static)
-      for (IT i = 0; i < m.nrows; ++i) {
-        ub[static_cast<std::size_t>(i)] =
-            static_cast<std::size_t>(m.row_nnz(i));
-      }
-    } else {
-#pragma omp parallel for schedule(static)
-      for (IT i = 0; i < m.nrows; ++i) {
-        ub[static_cast<std::size_t>(i)] =
-            static_cast<std::size_t>(b_csc.ncols) -
-            static_cast<std::size_t>(m.row_nnz(i));
-      }
-    }
-    return detail::run_one_phase<IT, VT>(m.nrows, b_csc.ncols, ub, factory,
-                                         opt.stats);
-  }
-  return detail::run_two_phase<IT, VT>(m.nrows, b_csc.ncols, factory,
-                                       opt.stats);
-}
-
 /// Masked SpGEMM: C = M ⊙ (A·B) on semiring SR (or ¬M ⊙ (A·B) for a
 /// complemented mask). The paper's 12 scheme variants are selected through
 /// `opt` (algorithm × phase × mask kind). Only the mask's *pattern* is used;
@@ -402,12 +359,11 @@ CsrMatrix<IT, VT> masked_multiply(const CsrMatrix<IT, VT>& a,
     throw invalid_argument_error("MCA does not support complemented masks");
   }
 
-  if (opt.algorithm == MaskedAlgorithm::kInner) {
-    // The pull-based kernel wants B's columns contiguous; transpose once
-    // here (the dispatcher-level cost the paper notes for dot-based codes).
-    const CscMatrix<IT, VT> b_csc = csr_to_csc(b);
-    return masked_multiply_inner<SR>(a, b_csc, m, opt);
-  }
+  // The pull-based Inner kernel wants B's columns contiguous; transpose
+  // once here (the dispatcher-level cost the paper notes for dot-based
+  // codes).
+  const bool inner = opt.algorithm == MaskedAlgorithm::kInner;
+  const CscMatrix<IT, VT> b_csc = inner ? csr_to_csc(b) : CscMatrix<IT, VT>{};
 
   std::vector<std::size_t> ub;
   const std::vector<std::size_t>* ub_ptr = nullptr;
@@ -417,7 +373,8 @@ CsrMatrix<IT, VT> masked_multiply(const CsrMatrix<IT, VT>& a,
   }
 
   return detail::with_kernel<SR>(
-      opt, a, b, nullptr, m, nullptr, [](auto, int) { return nullptr; },
+      opt, a, b, inner ? &b_csc : nullptr, m, nullptr,
+      [](auto, int) { return nullptr; },
       [&](auto&& factory) {
         return detail::run_with_phase<IT, VT>(m.nrows, b.ncols, ub_ptr,
                                               factory, opt);

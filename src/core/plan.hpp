@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -107,77 +108,82 @@ std::uint64_t pattern_fingerprint(const CsrMatrix<IT, VT>& x,
 // Structure dirty log
 // ---------------------------------------------------------------------------
 
-/// Row-block granularity of partial plan refresh: dirty row ranges are
-/// widened to these boundaries before artifacts are recomputed, so the
-/// bookkeeping (and the refresh itself) is per row *block*, not per row.
+/// Row-block granularity of partial plan refresh: a plan recomputes every
+/// row of a block in which any row changed, so its refresh is per row
+/// *block*, not per row. The dirty log keeps one maximum stamp per block.
 inline constexpr int kPlanDirtyBlockRows = 256;
 
-/// Append-only log of structurally mutated row ranges for one operand — the
-/// bridge between BoundMatrix::structure_changed(row_range) and SpgemmPlan's
-/// partial refresh. Each log carries a process-unique id and a monotone
-/// epoch; a plan remembers (id, epoch) per operand and, on its next
-/// execution, refreshes exactly the row blocks recorded since. Past a small
-/// cap the *oldest half* of the entries collapses to one covering range, so
-/// the log stays bounded while cursors that sync regularly keep seeing the
-/// precise recent ranges; only a long-stale cursor pays a conservative
-/// full-ish refresh.
+/// Per-row record of the structural mutations of one operand — the bridge
+/// between BoundMatrix::structure_changed and its readers: SpgemmPlan's
+/// partial refresh, the handle's flops cache and the Engine's result
+/// splice. Each mutation batch draws one new epoch and stamps exactly the
+/// rows it touched; a per-block maximum over kPlanDirtyBlockRows rows lets
+/// readers skip clean blocks. A reader remembers (id, epoch) and on its
+/// next use reads the rows stamped after that epoch: exact, however many
+/// batches came in between. The handle allocates the log (one stamp per
+/// row) at its first structure_changed.
 template <class IT>
 class StructureDirtyLog {
  public:
-  struct Range {
-    std::uint64_t epoch;
-    IT begin;
-    IT end;
-  };
+  explicit StructureDirtyLog(IT nrows)
+      : id_(next_id()),
+        stamps_(static_cast<std::size_t>(nrows), 0),
+        block_max_(ceil_div(static_cast<std::size_t>(nrows), kBlock), 0) {}
 
-  StructureDirtyLog() : id_(next_id()) {}
-
-  /// Process-unique identity: a plan cursor pinned to a different log (the
+  /// Process-unique identity: a reader pinned to a different log (the
   /// operand was rebound) can never be mistaken for being up to date.
   [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+  [[nodiscard]] std::size_t blocks() const { return block_max_.size(); }
 
-  /// Record rows [begin, end) as structurally changed.
-  void record(IT begin, IT end) {
-    if (begin >= end) return;
-    entries_.push_back({++epoch_, begin, end});
-    if (entries_.size() > kMaxEntries) {
-      // Fold the oldest half into one covering range (entries are in epoch
-      // order, so its epoch is the last merged one). Recent entries — the
-      // ones a regularly-syncing cursor actually consumes — stay precise.
-      const std::size_t half = entries_.size() / 2;
-      Range merged = entries_.front();
-      for (std::size_t i = 1; i < half; ++i) {
-        merged.begin = std::min(merged.begin, entries_[i].begin);
-        merged.end = std::max(merged.end, entries_[i].end);
-        merged.epoch = std::max(merged.epoch, entries_[i].epoch);
+  /// Record one mutation batch: every row of `ranges` (clamped to the row
+  /// count) is stamped with one new epoch.
+  void record(std::span<const std::pair<IT, IT>> ranges) {
+    ++epoch_;
+    for (const auto& [begin, end] : ranges) {
+      const auto lo = static_cast<std::size_t>(std::max<IT>(begin, 0));
+      const auto hi = std::min(stamps_.size(),
+                               static_cast<std::size_t>(std::max<IT>(end, 0)));
+      if (lo >= hi) continue;
+      std::fill(stamps_.begin() + static_cast<std::ptrdiff_t>(lo),
+                stamps_.begin() + static_cast<std::ptrdiff_t>(hi), epoch_);
+      for (std::size_t blk = lo / kBlock; blk <= (hi - 1) / kBlock; ++blk) {
+        block_max_[blk] = epoch_;
       }
-      entries_.erase(entries_.begin() + 1, entries_.begin() + half);
-      entries_.front() = merged;
     }
     MSP_CHECK_DIRTY_LOG(*this, "StructureDirtyLog::record");
   }
 
-  /// Checked-build validator: epochs strictly increasing (the fold keeps the
-  /// merged front's newest epoch, so order survives collapses), every epoch
-  /// within (0, epoch()], and every range non-empty.
-  void check_invariants(const char* site) const {
-    invariants::check_dirty_log_ranges(entries_, epoch_, site);
+  /// Whether row `i` changed after epoch `since`.
+  [[nodiscard]] bool row_dirty(IT i, std::uint64_t since) const {
+    return stamps_[static_cast<std::size_t>(i)] > since;
+  }
+  /// Whether any row of block `blk` changed after epoch `since`.
+  [[nodiscard]] bool block_dirty(std::size_t blk, std::uint64_t since) const {
+    return block_max_[blk] > since;
   }
 
-  /// Ranges recorded after epoch `since`. Collapsed entries carry their
-  /// newest epoch over a covering range, so a stale cursor always sees a
-  /// superset of what it missed — conservative, never lossy.
-  [[nodiscard]] std::vector<Range> ranges_since(std::uint64_t since) const {
-    std::vector<Range> out;
-    for (const Range& r : entries_) {
-      if (r.epoch > since) out.push_back(r);
+  /// The rows that changed after epoch `since`, ascending.
+  [[nodiscard]] std::vector<IT> rows_since(std::uint64_t since) const {
+    std::vector<IT> rows;
+    for (std::size_t blk = 0; blk < block_max_.size(); ++blk) {
+      if (block_max_[blk] <= since) continue;
+      const std::size_t end = std::min(stamps_.size(), (blk + 1) * kBlock);
+      for (std::size_t i = blk * kBlock; i < end; ++i) {
+        if (stamps_[i] > since) rows.push_back(static_cast<IT>(i));
+      }
     }
-    return out;
+    return rows;
+  }
+
+  /// Checked-build validator: every stamp within [0, epoch()], and every
+  /// block maximum at least each stamp in its block.
+  void check_invariants(const char* site) const {
+    invariants::check_dirty_stamps(stamps_, block_max_, epoch_, kBlock, site);
   }
 
  private:
-  static constexpr std::size_t kMaxEntries = 64;
+  static constexpr std::size_t kBlock = kPlanDirtyBlockRows;
 
   static std::uint64_t next_id() {
     static std::atomic<std::uint64_t> counter{0};
@@ -186,56 +192,9 @@ class StructureDirtyLog {
 
   std::uint64_t id_;
   std::uint64_t epoch_ = 0;
-  std::vector<Range> entries_;
+  std::vector<std::uint64_t> stamps_;     ///< per row: epoch of last change
+  std::vector<std::uint64_t> block_max_;  ///< per block: newest row stamp
 };
-
-/// Coalesce sorted disjoint row runs into at most `max_ranges` ranges for
-/// recording into a StructureDirtyLog. Runs whose gap is under
-/// kPlanDirtyBlockRows merge first — the refresh widens to block boundaries
-/// anyway, so that merge never dirties an extra block. If still over the
-/// cap, the narrowest inter-run gaps are swallowed next (smallest coverage
-/// growth). Bounding the per-batch record count keeps one large scattered
-/// batch from flushing the log's precise history for other cursors.
-template <class IT>
-[[nodiscard]] inline std::vector<std::pair<IT, IT>> coalesce_dirty_ranges(
-    const std::vector<std::pair<IT, IT>>& runs,
-    std::size_t max_ranges = 32) {
-  std::vector<std::pair<IT, IT>> out;
-  out.reserve(runs.size());
-  for (const auto& r : runs) {
-    if (!out.empty() &&
-        r.first - out.back().second < static_cast<IT>(kPlanDirtyBlockRows)) {
-      out.back().second = std::max(out.back().second, r.second);
-    } else {
-      out.push_back(r);
-    }
-  }
-  if (out.size() > max_ranges) {
-    std::vector<IT> gaps;
-    gaps.reserve(out.size() - 1);
-    for (std::size_t i = 1; i < out.size(); ++i) {
-      gaps.push_back(out[i].first - out[i - 1].second);
-    }
-    const std::size_t kill = out.size() - max_ranges;
-    std::nth_element(gaps.begin(),
-                     gaps.begin() + static_cast<std::ptrdiff_t>(kill - 1),
-                     gaps.end());
-    const IT cutoff = gaps[kill - 1];  // ties may merge extra runs: fine,
-                                       // coverage only grows (conservative)
-    std::vector<std::pair<IT, IT>> tight;
-    tight.reserve(max_ranges);
-    for (const auto& r : out) {
-      if (!tight.empty() && r.first - tight.back().second <= cutoff) {
-        tight.back().second = std::max(tight.back().second, r.second);
-      } else {
-        tight.push_back(r);
-      }
-    }
-    out.swap(tight);
-  }
-  MSP_CHECK_COALESCE(runs, out, max_ranges, "coalesce_dirty_ranges");
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Shareable CSC transpose of B
@@ -352,8 +311,8 @@ struct SpgemmOperandHints {
   /// skip the O(nnz) value re-gather while the version is unchanged.
   std::uint64_t b_values_version = 0;
   /// Structure dirty logs of the operands (BoundMatrix::dirty_log), read by
-  /// SpgemmPlan::sync to refresh exactly the mutated row blocks on a plan
-  /// cache hit. Null when an operand has never seen structure_changed.
+  /// SpgemmPlan::sync to refresh exactly the row blocks holding a mutated
+  /// row on a plan cache hit. Null when an operand has never seen structure_changed.
   /// Must outlive the multiply call; only read.
   const StructureDirtyLog<IT>* a_dirty = nullptr;
   const StructureDirtyLog<IT>* b_dirty = nullptr;
@@ -512,9 +471,10 @@ class SpgemmPlan {
 
   /// Partial plan refresh against the operands' structure dirty logs
   /// (BoundMatrix::structure_changed): recompute flops / bounds / symbolic
-  /// row pointers for exactly the row blocks mutated since this plan last
-  /// synced, instead of evicting the plan. Must be called before any other
-  /// artifact accessor on a cache hit whose operands carry dirty logs.
+  /// row pointers for exactly the row blocks holding a row stamped since
+  /// this plan last synced, instead of evicting the plan. Must be called
+  /// before any other artifact accessor on a cache hit whose operands carry
+  /// dirty logs.
   ///
   /// `fresh_plan` marks a plan built *this call* (its artifacts already
   /// reflect the current matrices): it adopts the logs' current epochs
@@ -528,48 +488,33 @@ class SpgemmPlan {
                    const StructureDirtyLog<IT>* a_log,
                    const StructureDirtyLog<IT>* b_log,
                    const StructureDirtyLog<IT>* m_log) {
-    using Range = typename StructureDirtyLog<IT>::Range;
-    bool full_a = false, full_b = false, full_m = false;
-    std::vector<Range> a_ranges, b_ranges, m_ranges;
-    advance_cursor(a_log, fresh_plan, a_cursor_, a_ranges, full_a);
-    advance_cursor(b_log, fresh_plan, b_cursor_, b_ranges, full_b);
-    advance_cursor(m_log, fresh_plan, m_cursor_, m_ranges, full_m);
-    const bool b_changed = full_b || !b_ranges.empty();
-    const bool m_changed = full_m || !m_ranges.empty();
-    if (!full_a && !b_changed && !m_changed && a_ranges.empty()) return 0;
+    const Missed a_missed = advance_cursor(a_log, fresh_plan, a_cursor_);
+    const Missed b_missed = advance_cursor(b_log, fresh_plan, b_cursor_);
+    const Missed m_missed = advance_cursor(m_log, fresh_plan, m_cursor_);
+    if (!a_missed.any() && !b_missed.any() && !m_missed.any()) return 0;
     // B's structure changed: the cached transpose (pattern + permutation)
     // is stale regardless of which output rows it feeds.
-    if (b_changed && b_csc_ != nullptr) b_csc_->invalidate();
+    if (b_missed.any() && b_csc_ != nullptr) b_csc_->invalidate();
     if (nrows_ == 0) return 0;
 
-    // Mark the output rows whose flops change (A rows mutated, or A rows
-    // referencing a mutated B row) and, separately, every output row whose
-    // bounds/structure must be recounted (flops-dirty ∪ mask-dirty rows).
+    // Mark the output row blocks whose flops change (A rows mutated, or A
+    // rows referencing a mutated B row) and, separately, every block whose
+    // bounds/structure must be recounted (flops-dirty ∪ mask-dirty blocks).
     const auto n = static_cast<std::size_t>(nrows_);
     std::vector<char> flop_dirty(n, 0);
-    if (full_a) {
+    mark_blocks(flop_dirty, a_missed);
+    if (b_missed.full) {
       std::fill(flop_dirty.begin(), flop_dirty.end(), 1);
-    } else {
-      for (const Range& r : a_ranges) mark_rows(flop_dirty, r.begin, r.end);
-    }
-    if (full_b) {
-      std::fill(flop_dirty.begin(), flop_dirty.end(), 1);
-    } else if (!b_ranges.empty()) {
-      // Rows of A referencing a dirty B row, via a bitmap over A's columns.
-      std::vector<char> b_dirty_row(static_cast<std::size_t>(a.ncols), 0);
-      for (const Range& r : b_ranges) {
-        const auto lo = static_cast<std::size_t>(std::max<IT>(0, r.begin));
-        const auto hi = static_cast<std::size_t>(std::min<IT>(a.ncols, r.end));
-        if (lo < hi) {
-          std::fill(b_dirty_row.begin() + static_cast<std::ptrdiff_t>(lo),
-                    b_dirty_row.begin() + static_cast<std::ptrdiff_t>(hi), 1);
-        }
-      }
+    } else if (b_missed.log != nullptr) {
+      // Rows of A referencing a B row stamped since the cursor; B's rows
+      // are A's columns.
+      const StructureDirtyLog<IT>& b_stamps = *b_missed.log;
+      const std::uint64_t since = b_missed.since;
 #pragma omp parallel for schedule(dynamic, 512)
       for (IT i = 0; i < nrows_; ++i) {
         if (flop_dirty[static_cast<std::size_t>(i)]) continue;
         for (IT p = a.rowptr[i]; p < a.rowptr[i + 1]; ++p) {
-          if (b_dirty_row[static_cast<std::size_t>(a.colids[p])]) {
+          if (b_stamps.row_dirty(a.colids[p], since)) {
             flop_dirty[static_cast<std::size_t>(i)] = 1;
             break;
           }
@@ -579,16 +524,11 @@ class SpgemmPlan {
     widen_to_blocks(flop_dirty);
 
     std::vector<char> out_dirty = flop_dirty;
-    if (full_m) {
-      std::fill(out_dirty.begin(), out_dirty.end(), 1);
-    } else {
-      for (const Range& r : m_ranges) mark_rows(out_dirty, r.begin, r.end);
-    }
-    widen_to_blocks(out_dirty);
+    mark_blocks(out_dirty, m_missed);
 
     // Valued semantics carry a zero-filtered mask copy; any mask change can
     // move explicit zeros, so refilter (the filtered copy is whole-matrix).
-    if (m_changed && semantics_ == MaskSemantics::kValued) {
+    if (m_missed.any() && semantics_ == MaskSemantics::kValued) {
       filtered_ = drop_explicit_zeros(m);
     }
 
@@ -642,41 +582,60 @@ class SpgemmPlan {
     std::uint64_t epoch = 0;
   };
 
+  /// What one operand's log recorded past a plan's cursor: the rows `log`
+  /// stamped after `since`, or every row when `full`.
+  struct Missed {
+    const StructureDirtyLog<IT>* log = nullptr;
+    std::uint64_t since = 0;
+    bool full = false;
+    [[nodiscard]] bool any() const { return full || log != nullptr; }
+  };
+
   /// Advance `cur` to `log`'s current epoch, reporting what was missed:
-  /// `ranges` for an ordinary catch-up, `full` when staleness is unknowable
-  /// (no cursor for a non-empty log, or the log disappeared/was replaced).
-  static void advance_cursor(const StructureDirtyLog<IT>* log, bool fresh_plan,
-                             DirtyCursor& cur,
-                             std::vector<typename StructureDirtyLog<IT>::Range>&
-                                 ranges,
-                             bool& full) {
+  /// the stamps since the cursor for an ordinary catch-up, `full` when
+  /// staleness is unknowable (no cursor for a non-empty log, or the log
+  /// disappeared/was replaced).
+  static Missed advance_cursor(const StructureDirtyLog<IT>* log,
+                               bool fresh_plan, DirtyCursor& cur) {
+    Missed missed;
     if (log == nullptr) {
       // This call tracks no log for the operand, but an earlier one did:
       // mutations may have happened unseen — refresh everything.
       if (cur.log_id != 0) {
-        full = true;
+        missed.full = true;
         cur = {};
       }
-      return;
+      return missed;
     }
     if (cur.log_id != log->id()) {
       // First encounter with this log. A fresh plan's artifacts already
       // reflect the current matrices, and an epoch-0 log has recorded
       // nothing yet; any other combination is unknowably stale.
-      if (!fresh_plan && log->epoch() != 0) full = true;
+      missed.full = !fresh_plan && log->epoch() != 0;
       cur = {log->id(), log->epoch()};
-      return;
+      return missed;
     }
     if (cur.epoch != log->epoch()) {
-      ranges = log->ranges_since(cur.epoch);
+      missed.log = log;
+      missed.since = cur.epoch;
       cur.epoch = log->epoch();
     }
+    return missed;
   }
 
-  void mark_rows(std::vector<char>& v, IT begin, IT end) const {
-    const auto lo = static_cast<std::size_t>(std::clamp<IT>(begin, 0, nrows_));
-    const auto hi = static_cast<std::size_t>(std::clamp<IT>(end, 0, nrows_));
-    if (lo < hi) {
+  /// Mark every row of each kPlanDirtyBlockRows block holding a row that
+  /// `missed` names (all rows when it is full).
+  void mark_blocks(std::vector<char>& v, const Missed& missed) const {
+    if (missed.full) {
+      std::fill(v.begin(), v.end(), 1);
+      return;
+    }
+    if (missed.log == nullptr) return;
+    const auto block = static_cast<std::size_t>(kPlanDirtyBlockRows);
+    for (std::size_t blk = 0; blk < missed.log->blocks(); ++blk) {
+      if (!missed.log->block_dirty(blk, missed.since)) continue;
+      const std::size_t lo = std::min(v.size(), blk * block);
+      const std::size_t hi = std::min(v.size(), lo + block);
       std::fill(v.begin() + static_cast<std::ptrdiff_t>(lo),
                 v.begin() + static_cast<std::ptrdiff_t>(hi), 1);
     }

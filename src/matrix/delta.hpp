@@ -1,19 +1,17 @@
-// DeltaMatrix — a mutable CSR matrix for streaming graph updates: an
-// immutable CSR base (the state at the last compaction) plus a row-indexed
-// overlay (core/delta_overlay.hpp) holding the fully-merged contents of
-// every row touched since. `apply_updates` batches edge inserts/deletes with
-// last-wins semantics, rematerializes the merged CSR in O(nnz), and reports
-// the touched row range so the handle layer can invalidate exactly those
-// row blocks (BoundMatrix::structure_changed). When the overlay outgrows a
-// threshold fraction of the base, the batch ends with an automatic
-// `compact()` that folds the merged matrix back into the base.
+// DeltaMatrix — a mutable CSR matrix for streaming graph updates.
+// `apply_updates` batches edge inserts/deletes with last-wins semantics,
+// merges each touched row with its edits, rematerializes the one live CSR
+// in O(nnz), and reports the touched row runs so the handle layer can
+// invalidate exactly those rows (BoundMatrix::structure_changed, through
+// Engine::update). Rematerialization writes into the previous batch's
+// arrays and swaps them in, so a DeltaMatrix holds at most two CSRs.
 //
-// Threading contract: `apply_updates`, `compact`, and `snapshot` serialize
-// on an internal mutex, so one updating thread and any number of
+// Threading contract: `apply_updates` and `snapshot` serialize on an
+// internal mutex, so one updating thread and any number of
 // snapshot-taking reader threads are safe. `matrix()` returns a reference
-// to the live merged CSR whose *address is stable across updates* (the
-// arrays are replaced in place, never the object) — it is for the updating
-// thread's own kernel calls; concurrent readers must use `snapshot()`.
+// to the live CSR whose *address is stable across updates* (the arrays are
+// swapped in place, never the object) — it is for the updating thread's
+// own kernel calls; concurrent readers must use `snapshot()`.
 #pragma once
 
 #include <algorithm>
@@ -26,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/delta_overlay.hpp"
 #include "core/invariants.hpp"
 #include "matrix/csr.hpp"
 #include "util/common.hpp"
@@ -59,7 +56,9 @@ struct DeltaUpdateResult {
   std::size_t inserted = 0;  ///< edges created
   std::size_t removed = 0;   ///< edges deleted (absent deletes don't count)
   std::size_t assigned = 0;  ///< existing edges whose value was overwritten
-  bool compacted = false;    ///< overlay was folded back into the base
+  /// Always false: a DeltaMatrix keeps one CSR and never compacts. Kept
+  /// because perfbench reads it as `delta.compactions`.
+  bool compacted = false;
 };
 
 template <class IT = index_t, class VT = double>
@@ -68,17 +67,7 @@ class DeltaMatrix {
   using index_type = IT;
   using value_type = VT;
 
-  /// Default threshold: compact when pending overlay entries exceed 1/4 of
-  /// the base nnz. Small enough that the overlay's touched-row set stays a
-  /// minor fraction of the matrix (keeping partial plan refresh cheap),
-  /// large enough that compaction cost amortizes over many batches.
-  static constexpr double kDefaultCompactThreshold = 0.25;
-
-  explicit DeltaMatrix(CsrMatrix<IT, VT> base,
-                       double compact_threshold = kDefaultCompactThreshold)
-      : base_(std::move(base)),
-        current_(base_),
-        compact_threshold_(compact_threshold) {}
+  explicit DeltaMatrix(CsrMatrix<IT, VT> base) : current_(std::move(base)) {}
 
   [[nodiscard]] IT nrows() const { return current_.nrows; }
   [[nodiscard]] IT ncols() const { return current_.ncols; }
@@ -86,44 +75,22 @@ class DeltaMatrix {
   [[nodiscard]] std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] std::size_t pending_nnz() const { return overlay_.nnz(); }
-  [[nodiscard]] std::size_t pending_rows() const {
-    return overlay_.stored_rows();
-  }
 
-  /// Live merged matrix. Stable address across updates; updating-thread
-  /// use only — see the threading contract above.
+  /// Live matrix. Stable address across updates; updating-thread use
+  /// only — see the threading contract above.
   [[nodiscard]] const CsrMatrix<IT, VT>& matrix() const { return current_; }
 
-  /// Base CSR as of the last compaction.
-  [[nodiscard]] const CsrMatrix<IT, VT>& base() const { return base_; }
-
-  /// Consistent copy of the merged matrix for concurrent reader threads.
+  /// Consistent copy of the live matrix for concurrent reader threads.
   [[nodiscard]] std::shared_ptr<const CsrMatrix<IT, VT>> snapshot() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return std::make_shared<const CsrMatrix<IT, VT>>(current_);
   }
 
-  /// Merged view of row i without going through the materialized CSR:
-  /// the overlay row if stored (it holds the full merged row), else the
-  /// base row. Kernels and tests can iterate this adapter directly.
-  [[nodiscard]] std::span<const IT> merged_row_cols(IT i) const {
-    const std::size_t r = overlay_.find(i);
-    return r == DeltaOverlay<IT, VT>::npos ? base_.row_cols(i)
-                                           : overlay_.stored_row_cols(r);
-  }
-
-  [[nodiscard]] std::span<const VT> merged_row_vals(IT i) const {
-    const std::size_t r = overlay_.find(i);
-    return r == DeltaOverlay<IT, VT>::npos ? base_.row_vals(i)
-                                           : overlay_.stored_row_vals(r);
-  }
-
   /// Apply one batch of edge mutations (last-wins within the batch).
-  /// Touched rows' merged contents land in the overlay, the live CSR is
+  /// Touched rows are merged with their edits, the live CSR is
   /// rematerialized, and the epoch advances. Throws on out-of-range
-  /// coordinates; a no-op batch (empty, or deletes of absent edges that
-  /// change nothing) still reports its touched range.
+  /// coordinates; a no-op batch (deletes of absent edges that change
+  /// nothing) still reports its touched rows.
   DeltaUpdateResult<IT> apply_updates(
       std::span<const EdgeUpdate<IT, VT>> edits) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -157,7 +124,7 @@ class DeltaMatrix {
     sorted.resize(w);
 
     // Merge each touched row's current contents with its edits into flat
-    // buffers; spans into them become the overlay's replacement rows.
+    // buffers, row t at [row_off[t], row_off[t + 1]).
     std::vector<IT> touched_rows;
     std::vector<std::size_t> row_off{0};
     std::vector<IT> merged_cols;
@@ -174,19 +141,6 @@ class DeltaMatrix {
       lo = hi;
     }
 
-    std::vector<typename DeltaOverlay<IT, VT>::template RowEdit<VT>> row_edits;
-    row_edits.reserve(touched_rows.size());
-    for (std::size_t t = 0; t < touched_rows.size(); ++t) {
-      row_edits.push_back(
-          {touched_rows[t],
-           std::span<const IT>(merged_cols.data() + row_off[t],
-                               row_off[t + 1] - row_off[t]),
-           std::span<const VT>(merged_vals.data() + row_off[t],
-                               row_off[t + 1] - row_off[t])});
-    }
-    overlay_.replace_rows(row_edits);
-    MSP_ASSERT(overlay_.check_structure(current_.nrows, current_.ncols));
-
     rematerialize(touched_rows, row_off, merged_cols, merged_vals);
 
     res.row_begin = touched_rows.front();
@@ -200,82 +154,18 @@ class DeltaMatrix {
       }
     }
     res.epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-
-    if (static_cast<double>(overlay_.nnz()) >
-        compact_threshold_ *
-            static_cast<double>(std::max<std::size_t>(base_.nnz(), 1))) {
-      compact_locked();
-      res.compacted = true;
-    }
     MSP_CHECK_DELTA(*this, "DeltaMatrix::apply_updates");
     return res;
   }
 
-  /// Fold the overlay back into the base. Changes no observable entry —
-  /// the merged matrix is already materialized — so the epoch stays put.
-  void compact() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    compact_locked();
-    MSP_CHECK_DELTA(*this, "DeltaMatrix::compact");
-  }
-
-  /// Checked-build validator. Deep-checks both CSRs and the overlay, then
-  /// verifies the three views actually agree: every overlay-stored row and
-  /// an equal-sized sample of base rows must read identically through
-  /// `merged_row_*` and through the materialized `matrix()`. Takes no lock
-  /// — called by the single updating thread per the threading contract
-  /// above (and by tests on quiescent instances).
+  /// Checked-build validator: the live CSR is well-formed. Takes no lock —
+  /// called by the single updating thread per the threading contract above
+  /// (and by tests on quiescent instances).
   void check_invariants(const char* site) const {
-    invariants::check_csr(base_, site);
     invariants::check_csr(current_, site);
-    if (base_.nrows != current_.nrows || base_.ncols != current_.ncols) {
-      invariants::fail("delta.base_shape", site,
-                       "base " + std::to_string(base_.nrows) + "x" +
-                           std::to_string(base_.ncols) + " vs current " +
-                           std::to_string(current_.nrows) + "x" +
-                           std::to_string(current_.ncols));
-    }
-    invariants::check_overlay(overlay_, current_.nrows, current_.ncols, site);
-    // Sampled merged-view agreement: all overlay rows (the rows that could
-    // diverge) plus up to as many interleaved base rows (control group),
-    // capped so a checked fuzz run stays O(sample · row) per boundary.
-    constexpr std::size_t kMaxSampledRows = 64;
-    const std::size_t stored = overlay_.stored_rows();
-    for (std::size_t r = 0; r < std::min(stored, kMaxSampledRows); ++r) {
-      check_merged_row(overlay_.stored_rowid(r), site);
-    }
-    if (current_.nrows > 0) {
-      const std::size_t n = static_cast<std::size_t>(current_.nrows);
-      const std::size_t samples = std::min(n, kMaxSampledRows);
-      for (std::size_t s = 0; s < samples; ++s) {
-        check_merged_row(static_cast<IT>(s * n / samples), site);
-      }
-    }
   }
 
  private:
-  /// One row's merged view (overlay-or-base) vs the materialized CSR.
-  void check_merged_row(IT i, const char* site) const {
-    const auto mc = merged_row_cols(i);
-    const auto mv = merged_row_vals(i);
-    const auto cc = current_.row_cols(i);
-    const auto cv = current_.row_vals(i);
-    const bool cols_ok = std::equal(mc.begin(), mc.end(), cc.begin(), cc.end());
-    const bool vals_ok = std::equal(mv.begin(), mv.end(), cv.begin(), cv.end());
-    if (!cols_ok || !vals_ok) {
-      invariants::fail("delta.merged_row_agreement", site,
-                       "row " + std::to_string(i) +
-                           (cols_ok ? " values" : " columns") +
-                           " diverge between overlay view and materialized "
-                           "matrix");
-    }
-  }
-
-  void compact_locked() {
-    base_ = current_;
-    overlay_.clear();
-  }
-
   /// Merge row `row`'s current contents with its deduped, column-sorted
   /// edits; append the merged row to the flat buffers and tally receipts.
   void merge_row(IT row, std::span<const EdgeUpdate<IT, VT>> row_edits,
@@ -313,14 +203,18 @@ class DeltaMatrix {
     }
   }
 
-  /// Rebuild the live CSR: untouched rows copy from the previous arrays,
-  /// touched rows from the merged buffers. O(nnz) with parallel row copy.
+  /// Rebuild the live CSR: untouched rows copy from the current arrays,
+  /// touched rows from the merged buffers, into the spare arrays the
+  /// previous batch left (resized, not value-initialized anew), which are
+  /// then swapped in. O(nnz) with parallel row copy.
   void rematerialize(const std::vector<IT>& touched_rows,
                      const std::vector<std::size_t>& row_off,
                      const std::vector<IT>& merged_cols,
                      const std::vector<VT>& merged_vals) {
     const IT n = current_.nrows;
-    std::vector<IT> rowptr(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<IT>& rowptr = spare_rowptr_;
+    rowptr.resize(static_cast<std::size_t>(n) + 1);
+    rowptr[0] = 0;
     {
       std::size_t t = 0;
       for (IT i = 0; i < n; ++i) {
@@ -334,9 +228,11 @@ class DeltaMatrix {
         rowptr[static_cast<std::size_t>(i) + 1] = rowptr[i] + len;
       }
     }
-    const std::size_t new_nnz = static_cast<std::size_t>(rowptr[n]);
-    std::vector<IT> colids(new_nnz);
-    std::vector<VT> values(new_nnz);
+    const auto new_nnz = static_cast<std::size_t>(rowptr[n]);
+    spare_colids_.resize(new_nnz);
+    spare_values_.resize(new_nnz);
+    IT* const colids = spare_colids_.data();
+    VT* const values = spare_values_.data();
 #pragma omp parallel for schedule(dynamic, 1024)
     for (IT i = 0; i < n; ++i) {
       const auto it =
@@ -354,21 +250,21 @@ class DeltaMatrix {
         src_v = current_.values.data() + current_.rowptr[i];
         len = static_cast<std::size_t>(current_.row_nnz(i));
       }
-      std::copy_n(src_c, len, colids.data() + rowptr[i]);
-      std::copy_n(src_v, len, values.data() + rowptr[i]);
+      std::copy_n(src_c, len, colids + rowptr[i]);
+      std::copy_n(src_v, len, values + rowptr[i]);
     }
-    // Move-assign the arrays so `current_`'s address — which BoundMatrix
-    // handles store — never changes.
-    current_.rowptr = std::move(rowptr);
-    current_.colids = std::move(colids);
-    current_.values = std::move(values);
+    // Swap the arrays so `current_`'s address — which BoundMatrix handles
+    // store — never changes; the old arrays become the next batch's spares.
+    current_.rowptr.swap(spare_rowptr_);
+    current_.colids.swap(spare_colids_);
+    current_.values.swap(spare_values_);
     MSP_ASSERT(current_.check_structure());
   }
 
-  CsrMatrix<IT, VT> base_;     ///< state at last compaction
-  DeltaOverlay<IT, VT> overlay_;
-  CsrMatrix<IT, VT> current_;  ///< live merged matrix (stable address)
-  double compact_threshold_;
+  CsrMatrix<IT, VT> current_;  ///< live matrix (stable address)
+  std::vector<IT> spare_rowptr_;  ///< previous batch's arrays, reused
+  std::vector<IT> spare_colids_;
+  std::vector<VT> spare_values_;
   mutable std::mutex mutex_;
   std::atomic<std::uint64_t> epoch_{0};
 };

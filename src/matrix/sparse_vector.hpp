@@ -1,7 +1,7 @@
 // Sparse row vector — the object the paper's §5 algorithm descriptions are
-// phrased in terms of (Masked SpGEVM: v = m ⊙ (u·B)). Stored as sorted
-// (index, value) parallel arrays; convertible to/from a 1×n CSR matrix so
-// the vector API can reuse every row kernel unchanged.
+// phrased in terms of (Masked SpGEVM: v = m ⊙ (u·B)), and the operand of
+// masked SpMV (core/masked_spmv.hpp). Stored as sorted (index, value)
+// parallel arrays; convertible to/from a 1×n CSR matrix.
 #pragma once
 
 #include <algorithm>

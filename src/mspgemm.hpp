@@ -16,7 +16,6 @@
 #include "core/baseline.hpp"         // IWYU pragma: export
 #include "core/bound_matrix.hpp"     // IWYU pragma: export
 #include "core/config.hpp"           // IWYU pragma: export
-#include "core/delta_overlay.hpp"    // IWYU pragma: export
 #include "core/engine.hpp"           // IWYU pragma: export
 #include "core/exec_context.hpp"     // IWYU pragma: export
 #include "core/scheme.hpp"           // IWYU pragma: export
@@ -28,7 +27,6 @@
 #include "core/shard.hpp"            // IWYU pragma: export
 #include "core/tiled_engine.hpp"     // IWYU pragma: export
 #include "core/masked_spmv.hpp"      // IWYU pragma: export
-#include "core/spgevm.hpp"           // IWYU pragma: export
 #include "core/spgemm.hpp"           // IWYU pragma: export
 #include "apps/bc.hpp"               // IWYU pragma: export
 #include "apps/bfs.hpp"              // IWYU pragma: export
@@ -41,7 +39,6 @@
 #include "gen/rmat.hpp"              // IWYU pragma: export
 #include "gen/structured.hpp"        // IWYU pragma: export
 #include "matrix/convert.hpp"        // IWYU pragma: export
-#include "matrix/dcsr.hpp"           // IWYU pragma: export
 #include "matrix/delta.hpp"          // IWYU pragma: export
 #include "matrix/dense.hpp"          // IWYU pragma: export
 #include "matrix/mmio.hpp"           // IWYU pragma: export

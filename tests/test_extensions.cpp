@@ -1,16 +1,15 @@
 // Tests for the extension modules: the adaptive hybrid kernel (paper §9
-// future work), the Masked SpGEVM vector API (§5's formulation), the DCSR
-// hypersparse format (§2.1/[10]), and the multi-source BFS application.
+// future work), the sparse-vector container, and the multi-source BFS
+// application.
 #include <gtest/gtest.h>
 
 #include <queue>
 
 #include "apps/bfs.hpp"
-#include "core/spgevm.hpp"
 #include "gen/rmat.hpp"
 #include "gen/structured.hpp"
-#include "matrix/dcsr.hpp"
 #include "matrix/dense.hpp"
+#include "matrix/sparse_vector.hpp"
 #include "test_support.hpp"
 
 namespace msp {
@@ -104,57 +103,7 @@ TEST(Adaptive, PolicyRoutesAllRowsToHeapOrHash) {
 }
 
 // ---------------------------------------------------------------------
-// Masked SpGEVM (vector API)
-
-TEST(Spgevm, MatchesMatrixForm) {
-  const auto b = random_csr<IT, VT>(20, 24, 0.2, 31);
-  const auto u_mat = random_csr<IT, VT>(1, 20, 0.4, 32);
-  const auto m_mat = random_csr<IT, VT>(1, 24, 0.4, 33);
-  const auto u = row_as_vector(u_mat, 0);
-  const auto m = row_as_vector(m_mat, 0);
-  const auto expected = reference_masked_multiply<SR>(u_mat, b, m_mat, false);
-  for (MaskedAlgorithm algo :
-       {MaskedAlgorithm::kMsa, MaskedAlgorithm::kHash, MaskedAlgorithm::kMca,
-        MaskedAlgorithm::kHeap, MaskedAlgorithm::kInner,
-        MaskedAlgorithm::kAdaptive}) {
-    MaskedSpgemmOptions opt;
-    opt.algorithm = algo;
-    const auto v = masked_spgevm<SR>(u, b, m, opt);
-    EXPECT_EQ(v.size, 24);
-    ASSERT_EQ(v.nnz(), expected.nnz()) << algorithm_name(algo);
-    for (std::size_t p = 0; p < v.nnz(); ++p) {
-      EXPECT_EQ(v.indices[p], expected.colids[p]) << algorithm_name(algo);
-      EXPECT_DOUBLE_EQ(v.values[p], expected.values[p])
-          << algorithm_name(algo);
-    }
-  }
-}
-
-TEST(Spgevm, ComplementedMask) {
-  const auto b = random_csr<IT, VT>(16, 16, 0.3, 41);
-  const auto u_mat = random_csr<IT, VT>(1, 16, 0.5, 42);
-  const auto m_mat = random_csr<IT, VT>(1, 16, 0.5, 43);
-  const auto expected = reference_masked_multiply<SR>(u_mat, b, m_mat, true);
-  MaskedSpgemmOptions opt;
-  opt.mask_kind = MaskKind::kComplement;
-  const auto v =
-      masked_spgevm<SR>(row_as_vector(u_mat, 0), b, row_as_vector(m_mat, 0),
-                        opt);
-  ASSERT_EQ(v.nnz(), expected.nnz());
-  for (std::size_t p = 0; p < v.nnz(); ++p) {
-    EXPECT_EQ(v.indices[p], expected.colids[p]);
-  }
-}
-
-TEST(Spgevm, DimensionMismatchThrows) {
-  const auto b = random_csr<IT, VT>(8, 8, 0.3, 51);
-  SparseVector<IT, VT> u(7);   // wrong
-  SparseVector<IT, VT> m(8);
-  EXPECT_THROW((masked_spgevm<SR>(u, b, m)), invalid_argument_error);
-  SparseVector<IT, VT> u2(8);
-  SparseVector<IT, VT> m2(9);  // wrong
-  EXPECT_THROW((masked_spgevm<SR>(u2, b, m2)), invalid_argument_error);
-}
+// Sparse vectors
 
 TEST(SparseVector, CanonicalizeSortsAndCombines) {
   SparseVector<IT, VT> v(10);
@@ -177,39 +126,6 @@ TEST(SparseVector, RoundTripThroughRowMatrix) {
     EXPECT_EQ(back.ncols, m.ncols);
     EXPECT_EQ(back.row_nnz(0), m.row_nnz(i));
   }
-}
-
-// ---------------------------------------------------------------------
-// DCSR hypersparse format
-
-TEST(Dcsr, RoundTripDense) {
-  const auto a = random_csr<IT, VT>(20, 20, 0.3, 71);
-  const auto d = csr_to_dcsr(a);
-  EXPECT_TRUE(d.check_structure());
-  EXPECT_EQ(d.nnz(), a.nnz());
-  EXPECT_TRUE(csr_equal(a, dcsr_to_csr(d)));
-}
-
-TEST(Dcsr, HypersparseCompressesRowPointers) {
-  // 1e4 rows, 3 non-empty: DCSR keeps 3 row ids instead of 1e4 pointers.
-  CooMatrix<IT, VT> coo(10000, 50);
-  coo.push(17, 3, 1.0);
-  coo.push(17, 10, 2.0);
-  coo.push(4096, 0, 3.0);
-  coo.push(9999, 49, 4.0);
-  const auto a = coo_to_csr(std::move(coo));
-  const auto d = csr_to_dcsr(a);
-  EXPECT_EQ(d.nonempty_rows(), 3u);
-  EXPECT_EQ(d.rowids, (std::vector<IT>{17, 4096, 9999}));
-  EXPECT_EQ(d.stored_row_cols(0).size(), 2u);
-  EXPECT_TRUE(csr_equal(a, dcsr_to_csr(d)));
-}
-
-TEST(Dcsr, EmptyMatrix) {
-  const CsrMatrix<IT, VT> a(5, 5);
-  const auto d = csr_to_dcsr(a);
-  EXPECT_EQ(d.nonempty_rows(), 0u);
-  EXPECT_TRUE(csr_equal(a, dcsr_to_csr(d)));
 }
 
 // ---------------------------------------------------------------------

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -89,82 +88,50 @@ TEST(InvariantsCsr, WellFormedPasses) {
 // Structure dirty log
 // ---------------------------------------------------------------------------
 
-using LogRange = StructureDirtyLog<index_t>::Range;
+constexpr std::size_t kBlock = kPlanDirtyBlockRows;
 
 TEST(InvariantsDirtyLog, StaleEpochBeyondLogEpochIsNamed) {
-  const std::vector<LogRange> entries{{5, 0, 2}};
-  EXPECT_INVARIANT(invariants::check_dirty_log_ranges(entries, 3, "test"),
-                   "dirty_log.epoch_bound");
+  std::vector<std::uint64_t> stamps(2 * kBlock, 0);
+  stamps[kBlock + 3] = 5;
+  const std::vector<std::uint64_t> block_max{0, 5};
+  EXPECT_INVARIANT(
+      invariants::check_dirty_stamps(stamps, block_max, 3, kBlock, "test"),
+      "dirty_log.epoch_bound");
 }
 
-TEST(InvariantsDirtyLog, NonMonotoneEpochIsNamed) {
-  const std::vector<LogRange> entries{{3, 0, 2}, {2, 1, 4}};
-  EXPECT_INVARIANT(invariants::check_dirty_log_ranges(entries, 5, "test"),
-                   "dirty_log.epoch_monotone");
+TEST(InvariantsDirtyLog, BlockMaxBelowRowStampIsNamed) {
+  // Row kBlock + 7 was stamped at epoch 4, but its block's maximum says 2:
+  // a reader at epoch 2 would skip the block and miss the row.
+  std::vector<std::uint64_t> stamps(3 * kBlock, 0);
+  stamps[3] = 1;
+  stamps[kBlock + 1] = 2;
+  stamps[kBlock + 7] = 4;
+  const std::vector<std::uint64_t> block_max{1, 2, 0};
+  EXPECT_INVARIANT(
+      invariants::check_dirty_stamps(stamps, block_max, 5, kBlock, "test"),
+      "dirty_log.block_max");
 }
 
-TEST(InvariantsDirtyLog, EmptyRangeIsNamed) {
-  const std::vector<LogRange> entries{{1, 3, 3}};
-  EXPECT_INVARIANT(invariants::check_dirty_log_ranges(entries, 1, "test"),
-                   "dirty_log.range_nonempty");
-}
-
-TEST(InvariantsDirtyLog, LiveLogStaysCleanAcrossTheFold) {
-  // record() self-checks at every call in this TU; drive it far past the
-  // 64-entry cap so the oldest-half fold runs repeatedly.
-  StructureDirtyLog<index_t> log;
+TEST(InvariantsDirtyLog, LiveLogStaysCleanAcrossManyBatches) {
+  // record() self-checks at every call in this TU; drive it through 500
+  // batches of two ranges each.
+  StructureDirtyLog<index_t> log(1000);
   for (int i = 0; i < 500; ++i) {
-    log.record(static_cast<index_t>(i % 97), static_cast<index_t>(i % 97 + 2));
+    const std::vector<std::pair<index_t, index_t>> ranges{
+        {static_cast<index_t>(i % 97), static_cast<index_t>(i % 97 + 2)},
+        {static_cast<index_t>(900 + i % 50), static_cast<index_t>(901 + i % 50)}};
+    log.record(ranges);
   }
+  EXPECT_EQ(log.epoch(), 500u);
   EXPECT_NO_THROW(log.check_invariants("test"));
-  // Collapsed entries stay a covering superset: a cursor from epoch 0 must
-  // see every row ever recorded.
-  index_t lo = std::numeric_limits<index_t>::max(), hi = 0;
-  for (const auto& r : log.ranges_since(0)) {
-    lo = std::min(lo, r.begin);
-    hi = std::max(hi, r.end);
-  }
-  EXPECT_EQ(lo, 0);
-  EXPECT_EQ(hi, 98);
-}
-
-// ---------------------------------------------------------------------------
-// Coalesce coverage
-// ---------------------------------------------------------------------------
-
-TEST(InvariantsCoalesce, DroppedRunIsNamed) {
-  using P = std::pair<index_t, index_t>;
-  const std::vector<P> runs{{0, 4}, {1000, 1004}};
-  const std::vector<P> out{{0, 4}};  // lost the second run
-  EXPECT_INVARIANT(invariants::check_coalesce(runs, out, 32, "test"),
-                   "coalesce.coverage");
-}
-
-TEST(InvariantsCoalesce, OverlappingOutputIsNamed) {
-  using P = std::pair<index_t, index_t>;
-  const std::vector<P> runs{{0, 4}, {1000, 1004}};
-  const std::vector<P> out{{0, 1001}, {1000, 1004}};
-  EXPECT_INVARIANT(invariants::check_coalesce(runs, out, 32, "test"),
-                   "coalesce.sorted_disjoint");
-}
-
-TEST(InvariantsCoalesce, CapOverflowIsNamed) {
-  using P = std::pair<index_t, index_t>;
-  const std::vector<P> runs{{0, 1}, {1000, 1001}, {2000, 2001}};
-  EXPECT_INVARIANT(invariants::check_coalesce(runs, runs, 2, "test"),
-                   "coalesce.max_ranges");
-}
-
-TEST(InvariantsCoalesce, RealCoalesceOutputPasses) {
-  // coalesce_dirty_ranges self-checks its output in this TU; sweep a mix
-  // of dense, scattered, and cap-straining inputs.
-  std::vector<std::pair<index_t, index_t>> runs;
-  for (index_t i = 0; i < 200; ++i) {
-    runs.emplace_back(i * 700, i * 700 + 3);
-  }
-  const auto out = coalesce_dirty_ranges<index_t>(runs, 16);
-  EXPECT_LE(out.size(), 16u);
-  EXPECT_NO_THROW(invariants::check_coalesce(runs, out, 16, "test"));
+  // A reader from epoch 0 sees exactly the rows ever stamped; one from the
+  // epoch before the last batch sees exactly that batch's rows.
+  std::vector<index_t> all;
+  for (index_t r = 0; r < 98; ++r) all.push_back(r);
+  for (index_t r = 900; r < 950; ++r) all.push_back(r);
+  EXPECT_EQ(log.rows_since(0), all);
+  EXPECT_EQ(log.rows_since(499),
+            (std::vector<index_t>{14, 15, 949}));  // i = 499
 }
 
 // ---------------------------------------------------------------------------
@@ -228,39 +195,24 @@ TEST(InvariantsPlan, FreshPlanPasses) {
 }
 
 // ---------------------------------------------------------------------------
-// DeltaMatrix overlay consistency
+// DeltaMatrix consistency
 // ---------------------------------------------------------------------------
 
 TEST(InvariantsDelta, CorruptedMaterializedRowIsNamed) {
-  // Threshold > 1 keeps the overlay from auto-compacting (1 pending row
-  // out of 4 already crosses the 0.25 default on a matrix this small).
-  DeltaMatrix<> dm(small_csr(), 10.0);
+  DeltaMatrix<> dm(small_csr());
   const std::vector<EdgeUpdate<>> edits{{1, 2, 9.0, false}};
   dm.apply_updates(std::span<const EdgeUpdate<>>(edits));
-  ASSERT_GT(dm.pending_rows(), 0u);
-  // Corrupt the materialized view behind the overlay's back: row 0 holds
-  // two sorted entries; swapping them breaks CSR ordering.
+  // Corrupt the live CSR behind the delta matrix's back: row 0 holds two
+  // sorted entries; swapping them breaks CSR ordering.
   auto& current = const_cast<CsrMatrix<>&>(dm.matrix());
   std::swap(current.colids[0], current.colids[1]);
   EXPECT_INVARIANT(dm.check_invariants("test"), "csr.colids_sorted");
 }
 
-TEST(InvariantsDelta, MergedRowDivergenceIsNamed) {
-  DeltaMatrix<> dm(small_csr(), 10.0);  // keep the overlay row live
-  const std::vector<EdgeUpdate<>> edits{{1, 2, 9.0, false}};
-  dm.apply_updates(std::span<const EdgeUpdate<>>(edits));
-  ASSERT_GT(dm.pending_rows(), 0u);
-  // Overlay stores row 1's merged contents; skew the materialized value so
-  // the two views of the same row disagree (structure stays well-formed).
-  auto& current = const_cast<CsrMatrix<>&>(dm.matrix());
-  current.values[static_cast<std::size_t>(current.rowptr[1])] += 1.0;
-  EXPECT_INVARIANT(dm.check_invariants("test"), "delta.merged_row_agreement");
-}
-
 TEST(InvariantsDelta, UpdateStreamStaysClean) {
   // apply_updates self-checks at every batch in this TU: mixed inserts,
-  // assigns, deletes, and a forced compact must all pass.
-  DeltaMatrix<> dm(random_csr<index_t, double>(64, 64, 0.1, 11), 0.05);
+  // assigns and deletes must all pass.
+  DeltaMatrix<> dm(random_csr<index_t, double>(64, 64, 0.1, 11));
   std::vector<EdgeUpdate<>> edits;
   for (int batch = 0; batch < 12; ++batch) {
     edits.clear();
@@ -272,7 +224,6 @@ TEST(InvariantsDelta, UpdateStreamStaysClean) {
     EXPECT_NO_THROW(
         dm.apply_updates(std::span<const EdgeUpdate<>>(edits)));
   }
-  dm.compact();
   EXPECT_NO_THROW(dm.check_invariants("test"));
 }
 

@@ -188,17 +188,25 @@ TEST(MaskedSpgemm, OtherSemirings) {
   }
 }
 
-TEST(MaskedSpgemm, InnerWithPretransposedB) {
+TEST(MaskedSpgemm, InnerBothPhasesMatchReference) {
+  // Planless Inner transposes B inside masked_multiply and runs through
+  // the same kernel switch and phase runners as every other algorithm; the
+  // one-phase bounds only size the buffers, so both phases and both mask
+  // kinds match the reference.
   const auto a = random_csr<IT, VT>(20, 30, 0.2, 21);
   const auto b = random_csr<IT, VT>(30, 25, 0.2, 22);
   const auto mask = random_csr<IT, VT>(20, 25, 0.3, 23);
-  const auto b_csc = csr_to_csc(b);
-  const auto expected = reference_masked_multiply<SR>(a, b, mask, false);
-  for (MaskedPhase phase : {MaskedPhase::kOnePhase, MaskedPhase::kTwoPhase}) {
-    MaskedSpgemmOptions opt;
-    opt.phase = phase;
-    EXPECT_TRUE(
-        csr_equal(expected, masked_multiply_inner<SR>(a, b_csc, mask, opt)));
+  for (MaskKind kind : {MaskKind::kMask, MaskKind::kComplement}) {
+    const auto expected = reference_masked_multiply<SR>(
+        a, b, mask, kind == MaskKind::kComplement);
+    for (MaskedPhase phase :
+         {MaskedPhase::kOnePhase, MaskedPhase::kTwoPhase}) {
+      MaskedSpgemmOptions opt;
+      opt.algorithm = MaskedAlgorithm::kInner;
+      opt.phase = phase;
+      opt.mask_kind = kind;
+      EXPECT_TRUE(csr_equal(expected, masked_multiply<SR>(a, b, mask, opt)));
+    }
   }
 }
 

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "apps/bc.hpp"
@@ -319,7 +321,7 @@ TEST(ActiveRows, PartialSyncListsRowTurnedNonzero) {
   const auto a0 = rows_matrix(n, cols(false));
   const auto b = rows_matrix(n, [](int i) { return std::vector<int>{i}; });
   const auto m = rows_matrix(n, cols(true));  // admits every product entry
-  StructureDirtyLog<int> log;
+  StructureDirtyLog<int> log(n);
   SpgemmPlan<int, double, double> plan(a0, b, m, MaskKind::kMask,
                                        MaskSemantics::kStructural);
   EXPECT_EQ(plan.sync(a0, b, m, /*fresh_plan=*/true, &log, nullptr, nullptr),
@@ -329,7 +331,8 @@ TEST(ActiveRows, PartialSyncListsRowTurnedNonzero) {
   EXPECT_FALSE(std::binary_search(before.begin(), before.end(), turned));
 
   const auto a1 = rows_matrix(n, cols(true));
-  log.record(turned, turned + 1);
+  const std::pair<int, int> turned_row{turned, turned + 1};
+  log.record(std::span(&turned_row, 1));
   const std::size_t refreshed =
       plan.sync(a1, b, m, /*fresh_plan=*/false, &log, nullptr, nullptr);
   EXPECT_GT(refreshed, 0u);
